@@ -59,16 +59,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  ladder speedup (default vs reference): {speedup:.1f}x")
     blkio = report["derived"]["blkio_stress16_speedup_fast_vs_reference"]
     print(f"  blkio stress16 speedup (fast vs reference): {blkio:.1f}x")
-    for label, key in (
-        ("fig07", "event_kernel_ratio_fig07"),
-        ("stress16", "event_kernel_ratio_stress16"),
-    ):
-        ratio = report["derived"][key]
-        if ratio:
-            print(f"  event kernel {label} (calendar vs heap events/s): {ratio:.2f}x")
-    dispatch = report["derived"].get("dispatch_speedup_stress16")
-    if dispatch:
-        print(f"  dispatch stress16 (scalar vs batched wall): {dispatch:.2f}x")
     path = write_report(report, args.output)
     print(f"report written to {path}")
     return 0

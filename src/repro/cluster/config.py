@@ -70,8 +70,6 @@ class ClusterConfig:
     #: Utilisation below which a borrower starts returning tokens.
     return_watermark: float = 0.5
     # -- substrate passthrough -------------------------------------------
-    kernel: str = "calendar"
-    dispatch: str = "batched"
     #: Worker processes for the shard pool: ``None``/1 → serial (every
     #: shard in-process), ``"auto"`` → CPUs; always capped by
     #: ``min(shards, REPRO_WORKERS)``.
@@ -162,12 +160,6 @@ class ClusterConfig:
         if not 0.0 <= self.return_watermark <= 1.0:
             raise ValueError(
                 f"return_watermark must be in [0, 1], got {self.return_watermark}"
-            )
-        if self.kernel not in ("calendar", "heap"):
-            raise ValueError(f"kernel must be 'calendar' or 'heap', got {self.kernel!r}")
-        if self.dispatch not in ("batched", "scalar"):
-            raise ValueError(
-                f"dispatch must be 'batched' or 'scalar', got {self.dispatch!r}"
             )
         # Validated lazily against the registry so plugged-in policies
         # (registered before the config is built) are accepted.

@@ -46,7 +46,7 @@ class ShardRuntime:
     def __init__(self, config, shard_id: int) -> None:
         self.config = config
         self.shard_id = shard_id
-        self.sim = Simulation(config.kernel, dispatch=config.dispatch)
+        self.sim = Simulation()
         self.registry = Registry()
         # Spawn the full cluster's RNG fan-out and keep only this shard's
         # streams: node i's randomness is a function of (seed, i), never

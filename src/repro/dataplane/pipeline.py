@@ -136,10 +136,10 @@ class DataPlane:
         ``_submit_direct`` schedules the device's ``_start_stream``
         handler, which appends the request's demand row to the device's
         persistent SoA arrays.  ``_start_stream`` is batch-dispatchable:
-        under ``dispatch="batched"`` all requests landing at the same
-        instant on one device (fan-out bursts, zero-delay schedule
-        stages) append their rows in one group call followed by a single
-        rate re-solve, instead of one solve per request.
+        all requests landing at the same instant on one device (fan-out
+        bursts, zero-delay schedule stages) append their rows in one
+        group call followed by a single rate re-solve, instead of one
+        solve per request.
         """
         return req.device._submit_direct(
             req.cgroup,

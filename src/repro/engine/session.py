@@ -104,13 +104,7 @@ class ScenarioSession:
     ) -> None:
         self.config = config
         self.placement = placement
-        # Campaign configs and duck-typed configs may predate the kernel
-        # and dispatch fields; default them to the fast paths (batched
-        # dispatch is trace-identical to scalar, so this is safe).
-        self.sim = Simulation(
-            kernel=getattr(config, "kernel", "calendar"),
-            dispatch=getattr(config, "dispatch", "batched"),
-        )
+        self.sim = Simulation()
         if OBS.enabled:
             OBS.tracer.bind_clock(self.sim)
         if storage_factory is not None:

@@ -36,34 +36,29 @@ itself rather than the ladder math:
   ``derived.blkio_stress16_speedup_fast_vs_reference`` is the wall-clock
   ratio over the identical simulated horizon and is expected to stay ≥ 2.
 
-Schema 3 records the event-kernel comparison: the fig07 and stress16
-scenarios run once per kernel (``scenario_fig07_contention`` /
-``blkio_stress16_fast`` on the default calendar kernel, ``*_heap``
-variants on the binary-heap parity oracle) and every scenario row
-carries ``events_per_sec``.  ``derived.event_kernel_ratio_*`` is
-calendar events/sec over heap events/sec — both kernels execute the
-identical event sequence, so the ratio is pure kernel overhead.  The
+Schema 3 made every scenario row carry ``events_per_sec``; the
 regression gate lives in ``benchmarks/compare_bench.py``: any scenario
 row whose events/sec drops more than 20 % against the committed
-baseline fails CI.
+baseline fails CI.  (Schema 3 also timed a binary-heap copy of the
+fig07 and stress16 rows against the calendar-queue kernel; those rows
+and their ``event_kernel_ratio_*`` keys were retired when the heap loop
+became the only kernel.)
 
 Schema 4 scales the device axis to where the vectorised epoch path
-(persistent SoA stream arrays + batched dispatch, architecture §1.2)
+(persistent SoA stream arrays + grouped dispatch, architecture §1.2)
 actually pays:
 
-* ``blkio_stress16_scalar`` — the stress16 case under
-  ``dispatch="scalar"`` (one Python callback per ready entry, the
-  parity oracle).  ``derived.dispatch_speedup_stress16`` is the
-  scalar/batched wall ratio; at 16 streams the two are near parity
-  because the event-loop floor dominates, so the ratio documents the
-  dispatch axis rather than gating it.
-* ``blkio_stress64`` — the same stress workload at 64 streams, where
-  the array sync/solve overtakes per-object attribute loops.
+* ``blkio_stress64`` — the stress workload at 64 streams, where the
+  array sync/solve overtakes per-object attribute loops.
 * ``blkio_soak256`` — a 256-stream homogeneous soak (uniform weights,
   no control churn): every epoch groups hundreds of same-instant
   starts into single batch calls and the solve memo hits on the
-  steady-state signature.  Both new rows are hard-gated on events/sec
-  by ``compare_bench.py`` like every scenario row.
+  steady-state signature.  Both rows are hard-gated on events/sec by
+  ``compare_bench.py`` like every scenario row.
+
+(Schema 4's ``blkio_stress16_scalar`` row and its
+``dispatch_speedup_stress16`` key timed per-entry dispatch; they were
+retired with the ``dispatch=`` option.)
 
 Schema 5 adds the cluster-scale axis (``repro.cluster``, architecture
 §12): ``cluster_soak_shards{1,4,8}`` run the same 16-node noisy-neighbor
@@ -75,9 +70,11 @@ across repeats via ``run_cluster(pool=...)``), so the figure measures
 simulation + round-boundary IPC, not process spawn.
 ``derived.cluster_scaling_8x`` is the 8-shard/1-shard aggregate
 events/sec ratio — ≈ core-count scaling on an unloaded multi-core
-runner, honestly ≈ 1 on a single-core box.  The rows join the generic
-events/sec hard gate; the scaling ratio itself is recorded, not gated,
-because it is a property of the runner's core count.
+runner.  It is ``null`` on a machine with fewer than 8 CPUs, with the
+cause in ``derived.cluster_scaling_8x_reason``: there the shards share
+cores and the ratio measures the machine, not the code.  The rows join
+the generic events/sec hard gate; the scaling ratio itself is recorded,
+not gated, because it is a property of the runner's core count.
 
 Schema 6 adds the controller-family stability probes (architecture
 §13): ``stability_step_{tango,pid,mpc}`` each time a short cross-layer
@@ -112,6 +109,9 @@ SPEEDUP_TARGET = 5.0
 #: Median wall-clock speedup of the device fast path over the
 #: pre-optimisation solver on the 16-stream stress case.
 BLKIO_SPEEDUP_TARGET = 2.0
+
+#: CPUs needed before the 8-shard cluster scaling ratio means anything.
+CLUSTER_SCALING_MIN_CPUS = 8
 
 
 def repo_root() -> Path:
@@ -167,8 +167,6 @@ def _clear_scratch(dec) -> None:
 def _run_stress_blkio(
     fast_path: bool,
     *,
-    kernel: str = "calendar",
-    dispatch: str = "batched",
     n_streams: int = 16,
     horizon: float = 120.0,
 ) -> tuple[float, int, float]:
@@ -180,15 +178,14 @@ def _run_stress_blkio(
     path (SoA demands, signature memo, coalesced flushes) targets.  With
     ``fast_path=False`` the device falls back to per-change reschedules
     and the dict-based reference solver, i.e. the pre-optimisation cost
-    model, over the identical simulated horizon.  ``dispatch="scalar"``
-    runs the same workload with epoch-grouped dispatch disabled.
+    model, over the identical simulated horizon.
     """
     from repro.simkernel import Simulation, Timeout
     from repro.storage.cgroup import CgroupController
     from repro.storage.device import DEVICE_PRESETS, BlockDevice
     from repro.util.units import MiB
 
-    sim = Simulation(kernel=kernel, dispatch=dispatch)
+    sim = Simulation()
     device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
     groups = CgroupController()
     cgroups = [
@@ -305,7 +302,7 @@ def _run_cluster_soak(shards: int, repeats: int) -> list[tuple[float, int, float
         pool.close()
 
 
-def _run_scenario_contention(kernel: str = "calendar") -> tuple[float, int, float]:
+def _run_scenario_contention() -> tuple[float, int, float]:
     """One fig07-style contention run; returns (wall_s, events, sim_time).
 
     Table IV noise against a non-adaptive analytics tenant on the shared
@@ -316,7 +313,7 @@ def _run_scenario_contention(kernel: str = "calendar") -> tuple[float, int, floa
     from repro.engine.session import ScenarioSession
     from repro.experiments.config import ScenarioConfig
 
-    config = ScenarioConfig(policy="no-adaptivity", max_steps=12, seed=0, kernel=kernel)
+    config = ScenarioConfig(policy="no-adaptivity", max_steps=12, seed=0)
     session = ScenarioSession(config)
     _, _, ladder = session.build_ladder()
     dataset = session.stage(f"{config.app}-data", ladder)
@@ -369,6 +366,27 @@ def _run_scenario_stability(controller: str) -> tuple[float, int, float, float, 
         period=config.period,
     )
     return wall, session.sim.events_executed, session.sim.now, settling, overshoot
+
+
+def _cluster_scaling(results: dict) -> dict:
+    """``derived.cluster_scaling_8x``: 8-shard over 1-shard events/sec.
+
+    Recorded, not gated — on an unloaded 8-core runner it tracks core
+    count (≥ 3x expected).  With fewer than 8 CPUs the shards share
+    cores, so the ratio is ``null`` and the reason is recorded instead.
+    """
+    cpus = os.cpu_count() or 1
+    if cpus < CLUSTER_SCALING_MIN_CPUS:
+        return {
+            "cluster_scaling_8x": None,
+            "cluster_scaling_8x_reason": (
+                f"cpu_count={cpus} < {CLUSTER_SCALING_MIN_CPUS}: 8 shard "
+                "workers would share cores"
+            ),
+        }
+    soak1 = results["cluster_soak_shards1"]["events_per_sec"]
+    soak8 = results["cluster_soak_shards8"]["events_per_sec"]
+    return {"cluster_scaling_8x": soak8 / soak1 if soak1 and soak8 else None}
 
 
 def run_microbench(
@@ -443,10 +461,7 @@ def run_microbench(
     # deterministic per runner, so the last repeat's figures stand for all.
     scenario_specs: list[tuple[str, Callable[[], tuple[float, int, float]]]] = [
         ("scenario_fig07_contention", _run_scenario_contention),
-        ("scenario_fig07_contention_heap", lambda: _run_scenario_contention("heap")),
         ("blkio_stress16_fast", lambda: _run_stress_blkio(True)),
-        ("blkio_stress16_fast_heap", lambda: _run_stress_blkio(True, kernel="heap")),
-        ("blkio_stress16_scalar", lambda: _run_stress_blkio(True, dispatch="scalar")),
         ("blkio_stress16_reference", lambda: _run_stress_blkio(False)),
         ("blkio_stress64", lambda: _run_stress_blkio(True, n_streams=64, horizon=40.0)),
         ("blkio_soak256", _run_soak_blkio),
@@ -542,28 +557,7 @@ def run_microbench(
             stress_fast > 0 and stress_ref / stress_fast >= BLKIO_SPEEDUP_TARGET
         ),
     }
-    # Event-kernel comparison (schema 3): calendar vs heap events/sec on
-    # the identical event sequence — the ratio is pure kernel overhead.
-    for key, cal_name, heap_name in (
-        ("event_kernel_ratio_fig07", "scenario_fig07_contention", "scenario_fig07_contention_heap"),
-        ("event_kernel_ratio_stress16", "blkio_stress16_fast", "blkio_stress16_fast_heap"),
-    ):
-        cal_eps = results[cal_name]["events_per_sec"]
-        heap_eps = results[heap_name]["events_per_sec"]
-        derived[key] = cal_eps / heap_eps if cal_eps and heap_eps else None
-    # Dispatch-axis comparison (schema 4): batched vs scalar wall time on
-    # the identical trace.  Near 1.0 at 16 streams (event-loop floor);
-    # the stress64/soak256 rows carry the scaling story via events/sec.
-    scalar_wall = results["blkio_stress16_scalar"]["median_s"]
-    derived["dispatch_speedup_stress16"] = (
-        scalar_wall / stress_fast if stress_fast > 0 else None
-    )
-    # Cluster scaling (schema 5): aggregate events/sec at 8 shards over
-    # 1 shard.  Recorded, not gated — on an unloaded 8-core runner this
-    # tracks core count (≥ 3x expected); on a single core it is ≈ 1.
-    soak1 = results["cluster_soak_shards1"]["events_per_sec"]
-    soak8 = results["cluster_soak_shards8"]["events_per_sec"]
-    derived["cluster_scaling_8x"] = soak8 / soak1 if soak1 and soak8 else None
+    derived.update(_cluster_scaling(results))
 
     root = repo_root()
     return {

@@ -113,16 +113,6 @@ class ScenarioConfig:
     #: dict) so configs stay hashable and sweepable, e.g.
     #: ``(("mpc_horizon", 8),)``.
     controller_params: tuple = ()
-    #: Event-queue kernel: "calendar" (epoch-batched calendar queue, the
-    #: default) or "heap" (the binary-heap parity oracle).  Both execute
-    #: events in identical order, so results are kernel-independent.
-    kernel: str = "calendar"
-    #: Ready-entry dispatch: "batched" (the default — consecutive entries
-    #: bound to the same batchable handler on the same receiver collapse
-    #: into one group call per epoch) or "scalar" (one Python callback
-    #: per entry, the parity oracle).  Both modes produce identical
-    #: traces and fingerprints; the axis exists so parity stays testable.
-    dispatch: str = "batched"
     seed: int = 0
 
     def with_(self, **changes) -> "ScenarioConfig":
@@ -162,14 +152,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown storage preset {self.tiers!r}; "
                 f"expected one of {STORAGE_PRESETS.names()}"
-            )
-        if self.kernel not in ("calendar", "heap"):
-            raise ValueError(
-                f"kernel must be 'calendar' or 'heap', got {self.kernel!r}"
-            )
-        if self.dispatch not in ("batched", "scalar"):
-            raise ValueError(
-                f"dispatch must be 'batched' or 'scalar', got {self.dispatch!r}"
             )
         if self.weight_cardinality not in ("bucket", "total"):
             raise ValueError(

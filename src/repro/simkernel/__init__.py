@@ -2,11 +2,10 @@
 
 Provides the event loop, one-shot events, timeouts, and generator-based
 processes that the storage/container/workload substrates are built on.
-Two interchangeable event-queue kernels (epoch-batched calendar queue,
-binary-heap parity oracle) execute callbacks in identical ``(time, seq)``
+One epoch-batched heap loop executes callbacks in exact ``(time, seq)``
 order — cancellable scheduled callbacks, deterministic FIFO tie-breaking
 at equal timestamps — so every experiment is bit-reproducible for a
-given seed regardless of kernel.
+given seed.
 """
 
 from repro.simkernel.sim import (

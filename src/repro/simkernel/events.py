@@ -11,12 +11,12 @@ __all__ = ["Event", "EventAlreadyTriggered", "ScheduledCallback", "batch_dispatc
 def batch_dispatch(scalar_handler: Callable, batch_handler: Callable) -> Callable:
     """Register ``batch_handler`` as the epoch-batch form of a method.
 
-    Under ``dispatch="batched"`` the event loop groups *consecutive*
-    ready entries whose callbacks are bound methods of the same
-    underlying function on the same receiver, and calls
-    ``batch_handler(receiver, entries)`` once instead of N scalar
-    callbacks (``entries`` are the grouped :class:`ScheduledCallback`
-    objects; each entry's ``args`` carries the scalar call's arguments).
+    The event loop groups *consecutive* ready entries whose callbacks
+    are bound methods of the same underlying function on the same
+    receiver, and calls ``batch_handler(receiver, entries)`` once
+    instead of N scalar callbacks (``entries`` are the grouped
+    :class:`ScheduledCallback` objects; each entry's ``args`` carries
+    the scalar call's arguments).
 
     The contract: the batch form must be observationally identical to
     running the scalar handler once per entry — same state transitions,

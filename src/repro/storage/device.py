@@ -35,13 +35,13 @@ execution" in ``docs/architecture.md``):
   between the change and its flush — and same-timestamp readers
   (:meth:`instantaneous_rate`, :meth:`rates_by_direction`) flush the
   pending recompute before reporting, so rates are never observed stale;
-* under ``dispatch="batched"`` the event loop delivers a whole epoch of
-  stream starts in one call (:meth:`_start_streams_batch`, registered
-  via :func:`~repro.simkernel.batch_dispatch`): k same-instant
-  submissions append k rows and trigger **one** solve, not k.  All of
-  this is float-op-for-float-op identical to the scalar per-stream path
-  — the recorded stress fingerprints in ``tests/test_dataplane_guard.py``
-  hold across dispatch modes, kernels, and the optional numba kernels
+* the event loop's grouped dispatch delivers a whole epoch of stream
+  starts in one call (:meth:`_start_streams_batch`, registered via
+  :func:`~repro.simkernel.batch_dispatch`): k same-instant submissions
+  append k rows and trigger **one** solve, not k.  All of this is
+  float-op-for-float-op identical to the per-stream path — the recorded
+  stress fingerprints in ``tests/test_dataplane_guard.py`` hold under
+  the per-entry test oracle and the optional numba kernels
   (:mod:`repro.storage.jitkernels`).
 
 ``fast_path=False`` restores the pre-optimisation cost model (immediate

@@ -1,13 +1,13 @@
-"""Dispatch-mode parity: epoch-grouped dispatch vs the scalar oracle.
+"""Dispatch parity: epoch-grouped dispatch vs the scalar oracle.
 
-``dispatch="batched"`` (the default) groups consecutive ready entries
-bound to the same batchable handler on the same receiver and hands the
-group to the registered batch form (``batch_dispatch``) in one call;
-``dispatch="scalar"`` runs one Python callback per entry.  The contract
-is *observational identity*: same traces, same clocks, same event
-counts, same observability values — under both event kernels.  These
-tests drive that contract with seeded randomized workloads, plus pinned
-unit tests for the grouped-start path, the aggregated per-epoch obs
+The event loop groups consecutive ready entries bound to the same
+batchable handler on the same receiver and hands the group to the
+registered batch form (``batch_dispatch``) in one call; the test-only
+:class:`~tests.scalar_oracle.ScalarSimulation` runs one Python callback
+per entry.  The contract is *observational identity*: same traces, same
+clocks, same event counts, same observability values.  These tests
+drive that contract with seeded randomized workloads, plus pinned unit
+tests for the grouped-start path, the aggregated per-epoch obs
 accounting, and the ``peek()`` scan cache.
 """
 
@@ -20,11 +20,11 @@ from repro.simkernel import Simulation, Timeout
 from repro.storage.cgroup import CgroupController
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.units import MiB
+from tests.scalar_oracle import ScalarSimulation
 
 
 def _run_workload(
-    kernel,
-    dispatch,
+    sim_cls,
     *,
     seed=0,
     n_streams=12,
@@ -35,13 +35,13 @@ def _run_workload(
 
     The RNG drives both the static setup (sizes, directions, weights) and
     the in-simulation churn, so any divergence in execution order between
-    dispatch modes would desynchronise the stream and corrupt the trace.
+    the two dispatchers would desynchronise the stream and corrupt the trace.
     """
     rng = random.Random(seed)
     sizes = [rng.randrange(1, 9) * MiB for _ in range(n_streams)]
     dirs = [rng.choice(["read", "write"]) for _ in range(n_streams)]
     weights = [rng.randrange(1, 10) * 100 for _ in range(n_streams)]
-    sim = Simulation(kernel=kernel, dispatch=dispatch)
+    sim = sim_cls()
     device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
     groups = CgroupController()
     cgroups = [groups.create(f"w{i}", weight=weights[i]) for i in range(n_streams)]
@@ -69,25 +69,24 @@ def _run_workload(
 class TestDispatchParity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_traces_identical_across_modes(self, seed):
-        """Every (kernel x dispatch) combination replays the exact same
-        history: completion trace, event count, clock, byte counters."""
-        ref = _run_workload("calendar", "scalar", seed=seed)
-        for kernel in ("calendar", "heap"):
-            for dispatch in ("batched", "scalar"):
-                assert _run_workload(kernel, dispatch, seed=seed) == ref
+        """Grouped dispatch replays the scalar oracle's exact history:
+        completion trace, event count, clock, byte counters."""
+        assert _run_workload(Simulation, seed=seed) == _run_workload(
+            ScalarSimulation, seed=seed
+        )
 
     def test_reference_device_path_parity(self):
         """Batched dispatch is also identical on the pre-optimisation
         device path (fast_path=False): grouping is a kernel property,
         not a fast-path one."""
-        assert _run_workload("calendar", "batched", fast_path=False) == _run_workload(
-            "calendar", "scalar", fast_path=False
+        assert _run_workload(Simulation, fast_path=False) == _run_workload(
+            ScalarSimulation, fast_path=False
         )
 
 
 class TestGroupedStarts:
-    def _fan_out(self, dispatch, n=32):
-        sim = Simulation(dispatch=dispatch)
+    def _fan_out(self, sim_cls, n=32):
+        sim = sim_cls()
         device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"])
         groups = CgroupController()
         done = []
@@ -105,8 +104,8 @@ class TestGroupedStarts:
         """32 identical submits share one start epoch: batched dispatch
         collapses them into a single ``_start_streams_batch`` call (one
         rate solve), with results identical to 32 scalar callbacks."""
-        b_done, b_now, b_stats = self._fan_out("batched")
-        s_done, s_now, s_stats = self._fan_out("scalar")
+        b_done, b_now, b_stats = self._fan_out(Simulation)
+        s_done, s_now, s_stats = self._fan_out(ScalarSimulation)
         assert b_done == s_done
         assert b_now == s_now
         assert b_stats["executed"] == s_stats["executed"]
@@ -121,11 +120,11 @@ class TestObsAggregationParity:
     (one counter inc per (device, direction) per epoch) must produce the
     same final values as per-completion increments would."""
 
-    def _run_with_obs(self, fast_path, dispatch):
+    def _run_with_obs(self, fast_path, sim_cls):
         OBS.reset()
         OBS.enable()
         try:
-            sim = Simulation(dispatch=dispatch)
+            sim = sim_cls()
             device = BlockDevice(
                 sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path
             )
@@ -163,11 +162,11 @@ class TestObsAggregationParity:
 
     def test_final_counter_and_histogram_values_unchanged(self):
         runs = {
-            mode: self._run_with_obs(fast_path, dispatch)
-            for mode, (fast_path, dispatch) in {
-                "fast-batched": (True, "batched"),
-                "fast-scalar": (True, "scalar"),
-                "reference-scalar": (False, "scalar"),
+            mode: self._run_with_obs(fast_path, sim_cls)
+            for mode, (fast_path, sim_cls) in {
+                "fast-batched": (True, Simulation),
+                "fast-scalar": (True, ScalarSimulation),
+                "reference-scalar": (False, ScalarSimulation),
             }.items()
         }
         expected, observed = runs["fast-batched"]
@@ -188,7 +187,7 @@ class TestPeekScanCache:
         ``_ready[_ready_idx:]`` from scratch on every call).  Scan counts
         are pinned exactly: the first peek pays K dead + 1 live, each
         later peek hits the cached offset in a single scan."""
-        sim = Simulation(kernel="calendar", dispatch="scalar")
+        sim = ScalarSimulation()
         K = 50
         handles = []
 

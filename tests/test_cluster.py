@@ -107,8 +107,8 @@ class TestConfig:
             dict(lend_floor=1.0),
             dict(return_watermark=2.0),
             dict(borrow_neighbors=0),
-            dict(kernel="btree"),
-            dict(dispatch="vectorized"),
+            dict(burst_s=0.0),
+            dict(hot_demand=0.0),
             dict(arbitration="anarchy"),
         ],
     )

@@ -29,6 +29,7 @@ from repro.simkernel import Simulation, Timeout
 from repro.storage.cgroup import CgroupController
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.units import MiB
+from tests.scalar_oracle import ScalarSimulation
 
 # Recorded on the seed tree (commit 8be0c54), before repro.dataplane
 # existed.
@@ -59,11 +60,11 @@ def _run_stress16(
     *,
     with_plane: bool = False,
     horizon: float = 30.0,
-    dispatch: str = "batched",
+    sim_cls: type[Simulation] = Simulation,
 ) -> str:
     """The bench stress recipe (16 streams + weight churn), fingerprinted."""
     n_streams = 16
-    sim = Simulation(dispatch=dispatch)
+    sim = sim_cls()
     device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
     if with_plane:
         DataPlane(sim).attach(device)
@@ -116,10 +117,10 @@ def test_stress16_reference_with_plane_is_bit_identical():
 
 
 def test_stress16_scalar_dispatch_is_bit_identical():
-    """The hashes were recorded under batched dispatch (the default);
-    the per-entry scalar oracle must reproduce them exactly."""
-    assert _run_stress16(True, dispatch="scalar") == STRESS16_FAST_HASH
+    """The hashes were recorded under grouped dispatch; the per-entry
+    scalar oracle must reproduce them exactly."""
+    assert _run_stress16(True, sim_cls=ScalarSimulation) == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_scalar_dispatch_is_bit_identical():
-    assert _run_stress16(False, dispatch="scalar") == STRESS16_REFERENCE_HASH
+    assert _run_stress16(False, sim_cls=ScalarSimulation) == STRESS16_REFERENCE_HASH

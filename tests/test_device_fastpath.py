@@ -19,18 +19,19 @@ from repro.simkernel import Simulation, Timeout
 from repro.storage.cgroup import CgroupController
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.units import mb_per_s, mb_to_bytes
+from tests.scalar_oracle import ScalarSimulation
 
 N_CGROUPS = 4
 
 
-def _run_script(ops, fast_path, dispatch="batched"):
+def _run_script(ops, fast_path, sim_cls=Simulation):
     """Execute one op script; returns (completions, bytes_moved, end_time).
 
     ``ops`` is a list of tuples: ``("submit", cg, mb, dir, extents)``,
     ``("wait", seconds)``, ``("weight", cg, w)``,
     ``("throttle", cg, dir, bps_or_None)``, ``("speed", factor)``.
     """
-    sim = Simulation(dispatch=dispatch)
+    sim = sim_cls()
     device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
     groups = CgroupController()
     cgs = [groups.create(f"g{i}") for i in range(N_CGROUPS)]
@@ -133,9 +134,9 @@ class TestFastReferenceParity:
         assert len(fast[0]) == 40
 
     def test_scalar_dispatch_parity(self):
-        """The dispatch axis is orthogonal to the device path: scalar
-        dispatch on the SoA fast path and on the reference path both
-        reproduce the batched-dispatch history exactly."""
+        """Dispatch is orthogonal to the device path: the per-entry
+        scalar oracle on the SoA fast path and on the reference path
+        both reproduce the grouped-dispatch history exactly."""
         ops = [
             ("submit", 0, 30, "read", 1),
             ("submit", 1, 20, "write", 2),
@@ -145,8 +146,8 @@ class TestFastReferenceParity:
             ("wait", 50.0),
         ]
         batched = _run_script(ops, True)
-        assert batched == _run_script(ops, True, dispatch="scalar")
-        assert batched == _run_script(ops, False, dispatch="scalar")
+        assert batched == _run_script(ops, True, sim_cls=ScalarSimulation)
+        assert batched == _run_script(ops, False, sim_cls=ScalarSimulation)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from repro.experiments.campaign import CampaignConfig, CampaignResult, run_campa
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.multi import TenantSpec, run_multi_scenario
 from repro.experiments.runner import ScenarioResult, run_scenario
+from tests.scalar_oracle import ScalarSimulation
 
 
 class TestRegistry:
@@ -130,6 +131,11 @@ class TestConfigValidation:
             ScenarioConfig(policy="nope")
         with pytest.raises(ValueError, match="unknown storage preset"):
             ScenarioConfig(tiers="four-tier")
+
+    @pytest.mark.parametrize("option", ["kernel", "dispatch"])
+    def test_removed_kernel_options_rejected(self, option):
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{option: "scalar"})
 
 
 class TestEmptyRecordGuards:
@@ -298,21 +304,25 @@ class TestBehaviourFingerprints:
             == "f859e89e25e6a9772b6d64dd5c41cbaceecb53590b646ef469dd779436c174d5"
         )
 
-    # -- kernel parity: the heap oracle must hit the SAME recorded hashes --
+    # -- dispatch parity: the scalar oracle must hit the SAME hashes --
     #
-    # The hashes above were recorded under the binary-heap loop; the
-    # calendar kernel (now the default, exercised by the tests above)
-    # and the explicit heap kernel must both reproduce them, proving the
-    # epoch-batched rework is execution-order identical.
+    # The runs above use grouped dispatch (consecutive same-handler
+    # entries delivered in one batch call); the scalar oracle replays
+    # one Python callback per entry.  Identical hashes prove grouped
+    # dispatch is execution-order and bit identical.
 
-    def test_run_scenario_heap_kernel_matches(self):
-        res = run_scenario(ScenarioConfig(max_steps=6, seed=3, kernel="heap"))
+    @pytest.fixture
+    def scalar_sessions(self, monkeypatch):
+        monkeypatch.setattr("repro.engine.session.Simulation", ScalarSimulation)
+
+    def test_run_scenario_scalar_dispatch_matches(self, scalar_sessions):
+        res = run_scenario(ScenarioConfig(max_steps=6, seed=3))
         assert (
             _fingerprint(res.records, [res.final_time, res.weight_history])
             == "3303f5b2ae6bf5dd97a7b64fcd6a5aa10737915fdfbc5a9dfb52c2ae55dee80e"
         )
 
-    def test_run_scenario_three_tier_heap_kernel_matches(self):
+    def test_run_scenario_three_tier_scalar_dispatch_matches(self, scalar_sessions):
         res = run_scenario(
             ScenarioConfig(
                 max_steps=5,
@@ -320,7 +330,6 @@ class TestBehaviourFingerprints:
                 policy="storage-only",
                 tiers="three-tier",
                 estimator="mean",
-                kernel="heap",
             )
         )
         assert (
@@ -328,13 +337,13 @@ class TestBehaviourFingerprints:
             == "d333e2fabe613fd0be3ab5eb75f2b7802a81847d98c94f1e201a513582760593"
         )
 
-    def test_run_multi_scenario_heap_kernel_matches(self):
+    def test_run_multi_scenario_scalar_dispatch_matches(self, scalar_sessions):
         mres = run_multi_scenario(
             [
                 TenantSpec("hi", priority=10.0, seed=0),
                 TenantSpec("lo", priority=1.0, seed=1),
             ],
-            ScenarioConfig(max_steps=4, seed=5, kernel="heap"),
+            ScenarioConfig(max_steps=4, seed=5),
         )
         assert (
             _fingerprint(
@@ -343,27 +352,11 @@ class TestBehaviourFingerprints:
             == "1a54d4b48e4f444756a021047ced6da8c6f1618d79920e3f899f324a628fe620"
         )
 
-    # -- dispatch parity: the scalar oracle must hit the SAME hashes --
-    #
-    # The defaults above run under dispatch="batched" (epoch-grouped
-    # handler calls); dispatch="scalar" replays one Python callback per
-    # entry.  Identical hashes prove grouped dispatch is execution-order
-    # and bit identical, on both kernels.
-
-    def test_run_scenario_scalar_dispatch_matches(self):
-        res = run_scenario(ScenarioConfig(max_steps=6, seed=3, dispatch="scalar"))
+    def test_run_campaign_scalar_dispatch_matches(self, scalar_sessions):
+        cres = run_campaign(CampaignConfig(steps=5, timeseries_window=2, seed=2))
         assert (
-            _fingerprint(res.records, [res.final_time, res.weight_history])
-            == "3303f5b2ae6bf5dd97a7b64fcd6a5aa10737915fdfbc5a9dfb52c2ae55dee80e"
-        )
-
-    def test_run_scenario_heap_scalar_dispatch_matches(self):
-        res = run_scenario(
-            ScenarioConfig(max_steps=6, seed=3, kernel="heap", dispatch="scalar")
-        )
-        assert (
-            _fingerprint(res.records, [res.final_time, res.weight_history])
-            == "3303f5b2ae6bf5dd97a7b64fcd6a5aa10737915fdfbc5a9dfb52c2ae55dee80e"
+            _fingerprint(cres.records, [cres.final_time])
+            == "f859e89e25e6a9772b6d64dd5c41cbaceecb53590b646ef469dd779436c174d5"
         )
 
 

@@ -1,9 +1,4 @@
-"""Tests for repro.simkernel — the discrete-event engine.
-
-The module-local ``sim`` fixture overrides conftest's so every test in
-this file runs against both kernels: the epoch-batched calendar queue
-(the default) and the binary-heap parity oracle.
-"""
+"""Tests for repro.simkernel — the discrete-event engine."""
 
 import warnings
 
@@ -20,11 +15,6 @@ from repro.simkernel import (
     UnhandledFailureWarning,
     tick_time,
 )
-
-
-@pytest.fixture(params=["calendar", "heap"])
-def sim(request) -> Simulation:
-    return Simulation(kernel=request.param)
 
 
 class TestScheduling:
@@ -111,6 +101,45 @@ class TestRunUntil:
         assert sim.peek() == float("inf")
         sim.schedule(3.0, lambda: None)
         assert sim.peek() == 3.0
+
+
+class TestEpochOrdering:
+    def test_exponential_gaps_drain_in_time_order(self, sim):
+        """Exponentially growing gaps: every entry runs, in time order."""
+        trace = []
+        t = 0.001
+        for i in range(120):
+            sim.schedule_at(t, lambda i=i: trace.append((sim.now, i)))
+            t *= 1.7
+        sim.run()
+        assert trace == sorted(trace)
+        assert [i for _, i in trace] == list(range(120))
+        assert sim.events_executed == 120
+
+    def test_same_instant_schedules_join_the_epoch(self, sim):
+        """A zero-delay schedule during a drain runs in the same epoch."""
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule(0.0, order.append, "chained")
+
+        sim.schedule(1.0, first)
+        sim.schedule(1.0, order.append, "second")
+        sim.run()
+        assert order == ["first", "second", "chained"]
+        assert sim.epochs_executed == 1
+
+    def test_kernel_stats_keys(self, sim):
+        """Keys read by the benchmark's span tracer (``bench/spans.py``)."""
+        sim.schedule(1.0, lambda: None).cancel()
+        sim.schedule(1.0, lambda: None)
+        sim.run()
+        stats = sim.kernel_stats()
+        assert {"executed", "epochs", "group_calls", "cancels"} <= stats.keys()
+        assert stats["executed"] == 1
+        assert stats["epochs"] == 1
+        assert stats["cancels"] == 1
 
 
 class TestEvents:
@@ -333,11 +362,22 @@ class TestLazyCancelCompaction:
         for _ in range(5000):
             sim.schedule(500.0, lambda: None).cancel()
         assert sim.pending_count == 5
-        # Whether dropped by explicit compaction (heap kernel) or by the
-        # calendar's migrate/resize filtering, the physical queue must
-        # stay bounded by the compaction trigger, far below the 5000
-        # cancels issued.
+        # Compaction keeps the physical queue bounded by its trigger,
+        # far below the 5000 cancels issued.
         assert sim._queue_len() <= 200
+
+    def test_invariants_after_compaction(self, sim):
+        live = [sim.schedule(float(t), lambda: None) for t in range(1, 21)]
+        doomed = [sim.schedule(100.0, lambda: None) for _ in range(300)]
+        for h in doomed:
+            h.cancel()
+        assert sim.pending_count == 20
+        assert sim.kernel_stats()["compactions"] >= 1
+        sim.run()
+        assert sim.events_executed == 20
+        assert sim.pending_count == 0
+        assert sim._queue_len() == 0
+        assert all(h.executed for h in live)
 
     def test_counters_survive_compaction(self, sim):
         fired = []
@@ -394,17 +434,15 @@ class TestUnhandledFailures:
         with pytest.warns(UnhandledFailureWarning, match="never retrieved"):
             sim.run()
 
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
-    def test_raise_mode(self, kernel):
-        s = Simulation(kernel=kernel, on_unhandled_failure="raise")
+    def test_raise_mode(self):
+        s = Simulation(on_unhandled_failure="raise")
         ev = s.event()
         s.schedule(1.0, ev.fail, RuntimeError("boom"))
         with pytest.raises(UnhandledFailureError):
             s.run()
 
-    @pytest.mark.parametrize("kernel", ["calendar", "heap"])
-    def test_ignore_mode(self, kernel):
-        s = Simulation(kernel=kernel, on_unhandled_failure="ignore")
+    def test_ignore_mode(self):
+        s = Simulation(on_unhandled_failure="ignore")
         ev = s.event()
         s.schedule(1.0, ev.fail, RuntimeError("boom"))
         with warnings.catch_warnings():
@@ -454,9 +492,10 @@ class TestUnhandledFailures:
         with pytest.raises(SimError):
             Simulation(on_unhandled_failure="explode")
 
-    def test_invalid_kernel_rejected(self):
-        with pytest.raises(SimError):
-            Simulation(kernel="wheel")
+    @pytest.mark.parametrize("option", ["kernel", "dispatch"])
+    def test_removed_options_rejected(self, option):
+        with pytest.raises(TypeError):
+            Simulation(**{option: "heap"})
 
 
 class TestTimeoutCancel:
