@@ -57,8 +57,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     speedup = report["derived"]["ladder_speedup_default_vs_reference"]
     print(f"  ladder speedup (default vs reference): {speedup:.1f}x")
-    blkio = report["derived"]["blkio_stress16_speedup_fast_vs_reference"]
-    print(f"  blkio stress16 speedup (fast vs reference): {blkio:.1f}x")
     path = write_report(report, args.output)
     print(f"report written to {path}")
     return 0

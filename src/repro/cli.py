@@ -634,8 +634,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     speedup = report["derived"]["ladder_speedup_default_vs_reference"]
     print(f"  ladder speedup (default vs reference): {speedup:.1f}x")
-    blkio = report["derived"]["blkio_stress16_speedup_fast_vs_reference"]
-    print(f"  blkio stress16 speedup (fast vs reference): {blkio:.1f}x")
     path = write_report(report, args.output or repo_root() / BENCH_FILENAME)
     print(f"report written to {path}", file=sys.stderr)
     return 0

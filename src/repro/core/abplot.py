@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.validation import check_positive, warn_deprecated
+from repro.util.validation import check_positive
 
 __all__ = ["AugmentationBandwidthPlot"]
 
@@ -27,7 +27,6 @@ class AugmentationBandwidthPlot:
 
     ``bw_low`` and ``bw_high`` are keyword-only and in bytes/second (use
     :func:`repro.util.units.mb_per_s` for the paper's MB/s values).
-    Positional construction still works via a deprecation shim.
     """
 
     bw_low: float
@@ -60,32 +59,3 @@ class AugmentationBandwidthPlot:
         bw = np.asarray(predicted_bw, dtype=np.float64)
         deg = np.clip((bw - self.bw_low) / (self.bw_high - self.bw_low), 0.0, 1.0)
         return float(deg) if deg.ndim == 0 else deg
-
-
-# Positional-construction migration shim: the canonical signature is
-# keyword-only, but ``AugmentationBandwidthPlot(low, high)`` predates it.
-_abplot_init = AugmentationBandwidthPlot.__init__
-
-
-def _abplot_init_shim(self, *args, **kwargs):
-    if args:
-        if len(args) > 2:
-            raise TypeError(
-                f"AugmentationBandwidthPlot takes at most 2 positional "
-                f"arguments (bw_low, bw_high), got {len(args)}"
-            )
-        warn_deprecated(
-            "positional AugmentationBandwidthPlot(bw_low, bw_high) is "
-            "deprecated; pass bw_low=/bw_high= as keywords"
-        )
-        for name, value in zip(("bw_low", "bw_high"), args):
-            if name in kwargs:
-                raise TypeError(
-                    f"AugmentationBandwidthPlot got multiple values for {name!r}"
-                )
-            kwargs[name] = value
-    _abplot_init(self, **kwargs)
-
-
-_abplot_init_shim.__wrapped__ = _abplot_init
-AugmentationBandwidthPlot.__init__ = _abplot_init_shim

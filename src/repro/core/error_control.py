@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core import metrics as _metrics
 from repro.core.refactor import Decomposition, recompose_full
-from repro.util.validation import pop_renamed
 
 __all__ = [
     "ErrorMetric",
@@ -409,19 +408,14 @@ LADDER_METHODS = ("hybrid", "measured", "analytic", "reference")
 
 def build_ladder(
     dec: Decomposition,
-    error_bounds: list[float] | None = None,
+    error_bounds: list[float],
     metric: ErrorMetric = ErrorMetric.NRMSE,
     *,
     search_grid: int = 24,
     method: str = "hybrid",
     original: np.ndarray | None = None,
-    **legacy,
 ) -> AccuracyLadder:
     """Construct an :class:`AccuracyLadder` realising each error bound.
-
-    ``error_bounds`` is the canonical spelling (the legacy ``bounds=``
-    keyword still works with a deprecation warning; positional callers
-    are unaffected).
 
     ``method="hybrid"`` (default): the measured search below, but seeded —
     the analytic residual-energy proxy brackets each rung's cut and a
@@ -461,10 +455,6 @@ def build_ladder(
     memo, and the benchmarks rebuild ladders for the same decomposition
     under many bound sets.
     """
-    error_bounds = pop_renamed(
-        error_bounds, legacy, old="bounds", new="error_bounds", context="build_ladder"
-    )
-    bounds = error_bounds
     if method not in LADDER_METHODS:
         raise ValueError(
             f"method must be one of {LADDER_METHODS}, got {method!r}"
@@ -476,7 +466,7 @@ def build_ladder(
                 f"original shape {original.shape} != decomposition shape "
                 f"{tuple(dec.shapes[0])}"
             )
-    budget = ErrorBudget.create(metric, bounds)
+    budget = ErrorBudget.create(metric, error_bounds)
     scratch = _ladder_scratch(dec, original)
     stream_levels, stream_positions, stream_values, level_offsets = scratch["stream"]
     original = scratch["original"]

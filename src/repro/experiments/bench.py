@@ -27,14 +27,12 @@ itself rather than the ladder math:
   noise against the analytics on the shared HDD, no adaptivity), timed
   end to end; rows carry ``events_per_sec`` and ``sim_time_s`` alongside
   the wall medians.
-* ``blkio_stress16_fast`` / ``blkio_stress16_reference`` — a 16-stream
-  mixed read/write stress case with periodic 8-weight control bursts, run
-  once on the device fast path (SoA demands + signature memo + coalesced
-  flushes) and once with ``fast_path=False`` (per-change reschedules,
-  validated ``StreamDemand`` rebuilds, dict-based reference solver — the
-  pre-optimisation cost model).
-  ``derived.blkio_stress16_speedup_fast_vs_reference`` is the wall-clock
-  ratio over the identical simulated horizon and is expected to stay ≥ 2.
+* ``blkio_stress16_fast`` — a 16-stream mixed read/write stress case
+  with periodic 8-weight control bursts on the device (SoA demands +
+  signature memo + coalesced flushes).  (Its ``blkio_stress16_reference``
+  twin and the ``blkio_stress16_speedup_fast_vs_reference`` ratio timed
+  the pre-optimisation device path; they were retired when that path
+  became a test-only oracle.)
 
 Schema 3 made every scenario row carry ``events_per_sec``; the
 regression gate lives in ``benchmarks/compare_bench.py``: any scenario
@@ -106,10 +104,6 @@ SCHEMA_VERSION = 6
 #: cost model that the perf work is pinned to (see module docstring).
 SPEEDUP_TARGET = 5.0
 
-#: Median wall-clock speedup of the device fast path over the
-#: pre-optimisation solver on the 16-stream stress case.
-BLKIO_SPEEDUP_TARGET = 2.0
-
 #: CPUs needed before the 8-shard cluster scaling ratio means anything.
 CLUSTER_SCALING_MIN_CPUS = 8
 
@@ -165,7 +159,6 @@ def _clear_scratch(dec) -> None:
 
 
 def _run_stress_blkio(
-    fast_path: bool,
     *,
     n_streams: int = 16,
     horizon: float = 120.0,
@@ -174,11 +167,8 @@ def _run_stress_blkio(
 
     Perpetual mixed read/write workers resubmit multi-MiB requests
     against one shared HDD while a churn process rewrites eight blkio
-    weights every 250 ms — the reschedule-heavy regime the device fast
-    path (SoA demands, signature memo, coalesced flushes) targets.  With
-    ``fast_path=False`` the device falls back to per-change reschedules
-    and the dict-based reference solver, i.e. the pre-optimisation cost
-    model, over the identical simulated horizon.
+    weights every 250 ms — the reschedule-heavy regime the device's SoA
+    demands, signature memo and coalesced flushes target.
     """
     from repro.simkernel import Simulation, Timeout
     from repro.storage.cgroup import CgroupController
@@ -186,7 +176,7 @@ def _run_stress_blkio(
     from repro.util.units import MiB
 
     sim = Simulation()
-    device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
+    device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"])
     groups = CgroupController()
     cgroups = [
         groups.create(f"stress-{i}", weight=100 + (i % 9) * 100) for i in range(n_streams)
@@ -240,7 +230,7 @@ def _run_soak_blkio(
     from repro.util.units import MiB
 
     sim = Simulation()
-    device = BlockDevice(sim, DEVICE_PRESETS["intel-ssd-400"], fast_path=True)
+    device = BlockDevice(sim, DEVICE_PRESETS["intel-ssd-400"])
     groups = CgroupController()
 
     def worker(cgroup, direction):
@@ -461,9 +451,8 @@ def run_microbench(
     # deterministic per runner, so the last repeat's figures stand for all.
     scenario_specs: list[tuple[str, Callable[[], tuple[float, int, float]]]] = [
         ("scenario_fig07_contention", _run_scenario_contention),
-        ("blkio_stress16_fast", lambda: _run_stress_blkio(True)),
-        ("blkio_stress16_reference", lambda: _run_stress_blkio(False)),
-        ("blkio_stress64", lambda: _run_stress_blkio(True, n_streams=64, horizon=40.0)),
+        ("blkio_stress16_fast", _run_stress_blkio),
+        ("blkio_stress64", lambda: _run_stress_blkio(n_streams=64, horizon=40.0)),
         ("blkio_soak256", _run_soak_blkio),
     ]
     for name, runner in scenario_specs:
@@ -542,20 +531,11 @@ def run_microbench(
     reference = results["build_ladder_reference_nocache"]["median_s"]
     default = results["build_ladder_hybrid"]["median_s"]
     cold = results["build_ladder_hybrid_coldcache"]["median_s"]
-    stress_fast = results["blkio_stress16_fast"]["median_s"]
-    stress_ref = results["blkio_stress16_reference"]["median_s"]
     derived = {
         "ladder_speedup_default_vs_reference": reference / default if default > 0 else None,
         "ladder_speedup_coldcache_vs_reference": reference / cold if cold > 0 else None,
         "speedup_target": SPEEDUP_TARGET,
         "meets_speedup_target": default > 0 and reference / default >= SPEEDUP_TARGET,
-        "blkio_stress16_speedup_fast_vs_reference": (
-            stress_ref / stress_fast if stress_fast > 0 else None
-        ),
-        "blkio_speedup_target": BLKIO_SPEEDUP_TARGET,
-        "meets_blkio_speedup_target": (
-            stress_fast > 0 and stress_ref / stress_fast >= BLKIO_SPEEDUP_TARGET
-        ),
     }
     derived.update(_cluster_scaling(results))
 

@@ -25,7 +25,6 @@ from repro.experiments.config import (
     _validate_dataplane_fields,
 )
 from repro.experiments.report import format_table, sparkline
-from repro.util.validation import rename_deprecated, warn_deprecated
 from repro.workloads.analytics import StepRecord
 from repro.workloads.churn import ChurnSpec
 
@@ -42,8 +41,7 @@ class CampaignConfig:
     period: float = 60.0
     timeseries_window: int = 8
     decimation_ratio: int = 16
-    #: Accuracy-ladder rung error bounds (canonical spelling; the legacy
-    #: ``ladder_bounds`` keyword/attribute still works via a shim).
+    #: Accuracy-ladder rung error bounds.
     error_bounds: tuple[float, ...] = (0.1, 0.01, 0.001)
     prescribed_bound: float = 0.01
     priority: float = 10.0
@@ -85,31 +83,6 @@ class CampaignConfig:
                 )
         _validate_controller_fields(self)
         _validate_dataplane_fields(self)
-
-
-# ``ladder_bounds`` → ``error_bounds`` migration shim (see ScenarioConfig).
-_campaign_config_init = CampaignConfig.__init__
-
-
-def _campaign_config_init_shim(self, *args, **kwargs):
-    rename_deprecated(
-        kwargs, {"ladder_bounds": "error_bounds"}, context="CampaignConfig"
-    )
-    _campaign_config_init(self, *args, **kwargs)
-
-
-_campaign_config_init_shim.__wrapped__ = _campaign_config_init
-CampaignConfig.__init__ = _campaign_config_init_shim
-
-
-def _campaign_ladder_bounds_compat(self) -> tuple[float, ...]:
-    warn_deprecated(
-        "CampaignConfig.ladder_bounds is deprecated; use error_bounds"
-    )
-    return self.error_bounds
-
-
-CampaignConfig.ladder_bounds = property(_campaign_ladder_bounds_compat)
 
 
 @dataclass

@@ -19,7 +19,6 @@ from types import SimpleNamespace
 from repro.core.error_control import ErrorMetric
 from repro.faults.retry import RetryPolicy
 from repro.util.units import mb_per_s
-from repro.util.validation import rename_deprecated, warn_deprecated
 from repro.workloads.noise import TABLE_IV_NOISE, NoiseSpec
 
 __all__ = ["ScenarioConfig", "DEFAULTS", "PRIORITY_LOW", "PRIORITY_MEDIUM", "PRIORITY_HIGH"]
@@ -54,8 +53,7 @@ class ScenarioConfig:
     grid_shape: tuple[int, int] = DEFAULTS.grid_shape
     decimation_ratio: int = DEFAULTS.decimation_ratio
     metric: ErrorMetric = ErrorMetric.NRMSE
-    #: Accuracy-ladder rung error bounds (canonical spelling; the legacy
-    #: ``ladder_bounds`` keyword/attribute still works via a shim).
+    #: Accuracy-ladder rung error bounds.
     error_bounds: tuple[float, ...] = (0.1, 0.01, 0.001, 0.0001)
     prescribed_bound: float | None = 0.01
     error_control: bool = True
@@ -230,33 +228,3 @@ def _validate_dataplane_fields(config) -> None:
         seen.add(tenant)
     if config.max_inflight is not None and config.max_inflight < 1:
         raise ValueError(f"max_inflight must be >= 1, got {config.max_inflight}")
-
-
-# -- deprecation shims ----------------------------------------------------
-#
-# ``ladder_bounds`` was renamed to ``error_bounds`` (one canonical
-# spelling across configs, build_ladder, and the ladder APIs).  The old
-# keyword and attribute keep working for one release, loudly.
-
-_scenario_config_init = ScenarioConfig.__init__
-
-
-def _scenario_config_init_shim(self, *args, **kwargs):
-    rename_deprecated(
-        kwargs, {"ladder_bounds": "error_bounds"}, context="ScenarioConfig"
-    )
-    _scenario_config_init(self, *args, **kwargs)
-
-
-_scenario_config_init_shim.__wrapped__ = _scenario_config_init
-ScenarioConfig.__init__ = _scenario_config_init_shim
-
-
-def _ladder_bounds_compat(self) -> tuple[float, ...]:
-    warn_deprecated(
-        "ScenarioConfig.ladder_bounds is deprecated; use error_bounds"
-    )
-    return self.error_bounds
-
-
-ScenarioConfig.ladder_bounds = property(_ladder_bounds_compat)

@@ -21,7 +21,6 @@ from repro.experiments.config import ScenarioConfig
 from repro.obs import OBS
 from repro.storage.staging import StagedDataset
 from repro.storage.stats import DeviceSample, DeviceSampler
-from repro.util.validation import pop_renamed, warn_deprecated
 from repro.workloads.analytics import StepRecord
 
 __all__ = [
@@ -31,46 +30,22 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # ``make_weight_function`` moved to repro.engine.session (blessed
-    # surface: repro.api); the old import path warns for one release.
-    if name == "make_weight_function":
-        warn_deprecated(
-            "repro.experiments.runner.make_weight_function is deprecated; "
-            "import it from repro.api (or repro.engine.session)",
-            stacklevel=2,
-        )
-        from repro.engine.session import make_weight_function
-
-        return make_weight_function
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def build_ladder_for_app(
     app: AnalyticsApp,
     *,
     grid_shape: tuple[int, int],
     decimation_ratio: int,
     metric: ErrorMetric,
-    error_bounds: tuple[float, ...] | None = None,
+    error_bounds: tuple[float, ...],
     seed: int,
     method: str = "hybrid",
-    **legacy,
 ) -> tuple[np.ndarray, AccuracyLadder]:
     """Generate the app's field, decompose it, and build its ladder.
 
     Memoized via :func:`repro.engine.memo.ladder_for_app`: sweeps that
     revisit the same (app, shape, ratio, metric, error_bounds, seed,
-    method) point skip the decomposition entirely.  ``error_bounds`` is
-    the canonical spelling; the legacy ``bounds=`` keyword warns.
+    method) point skip the decomposition entirely.
     """
-    error_bounds = pop_renamed(
-        error_bounds,
-        legacy,
-        old="bounds",
-        new="error_bounds",
-        context="build_ladder_for_app",
-    )
     return ladder_for_app(
         app,
         grid_shape=grid_shape,

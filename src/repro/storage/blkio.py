@@ -18,22 +18,16 @@ utilisations summing to ≤ 1.  This reproduces the paper's arithmetic —
 e.g. two weight-100 streams on a 200 MB/s device get 100 MB/s each, and
 raising one weight to 200 shifts the split to 133/67 MB/s.
 
-Two implementations share the same semantics:
-
-* :func:`solve_rates` — the hot path.  Structure-of-arrays inputs, scalar
-  fast paths for the dominant one- and two-stream cases, and a vectorised
-  waterfill for larger stream sets (each round classifies every still-
-  active stream in one elementwise comparison).  Sums and surplus
-  subtractions stay in demand order so every float operation matches the
-  reference round-for-round — the result is **bit-identical**, which the
-  pinned scenario fingerprints in ``tests/test_engine.py`` and the parity
-  property tests in ``tests/test_blkio.py`` enforce.
-* :func:`compute_rates_reference` — the original dict-based O(n²)
-  progressive filling, kept as the plain-Python oracle for parity tests
-  and as the pre-fast-path cost model for the scenario benchmarks.
-
-:func:`compute_rates` keeps the historical ``list[StreamDemand] → dict``
-signature as a thin validated wrapper over :func:`solve_rates`.
+:func:`solve_rates_arrays` is the one solver entry point: four parallel
+float64 arrays (weights, peaks, caps, floors) in, the rates in input
+order out.  Small stream sets run a plain-Python loop, larger ones a
+vectorised waterfill (each round classifies every still-active stream in
+one elementwise comparison).  Both keep every sum and surplus
+subtraction in demand order, so they are **bit-identical** to each
+other and to the dict-based oracle in ``tests/blkio_oracle.py`` — the
+pinned scenario fingerprints and the parity property tests in
+``tests/test_blkio.py`` enforce it.  :func:`compute_rates` keeps the
+``list[StreamDemand] → dict`` signature as a validated wrapper.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.obs import OBS
-from repro.storage import jitkernels
 from repro.storage.limits import (
     CAP_SLACK,
     EPS_REMAINING,
@@ -56,16 +49,9 @@ from repro.storage.limits import (
 __all__ = [
     "StreamDemand",
     "compute_rates",
-    "compute_rates_reference",
-    "solve_rates",
     "solve_rates_arrays",
     "MAX_FLOOR_UTILISATION",
 ]
-
-# The solver constants live in repro.storage.limits (shared with the
-# optional numba kernels); the historical names stay bound here.
-_EPS_REMAINING = EPS_REMAINING
-_CAP_SLACK = CAP_SLACK
 
 
 @dataclass(frozen=True)
@@ -118,107 +104,7 @@ def _obs_handles() -> tuple:
     return handles
 
 
-# -- scalar fast paths ------------------------------------------------------
-
-
-def _solve_1(w0: float, p0: float, c0: float, f0: float):
-    m0 = min(c0, p0)
-    fu0 = min(f0, m0) / p0
-    total_floor = fu0
-    if total_floor > MAX_FLOOR_UTILISATION:
-        fu0 = fu0 * (MAX_FLOOR_UTILISATION / total_floor)
-        total_floor = MAX_FLOOR_UTILISATION
-    remaining = 1.0 - total_floor
-    extra = 0.0
-    rounds = 0
-    capped = 0
-    if remaining > _EPS_REMAINING:
-        rounds = 1
-        share = remaining * w0 / w0
-        headroom = max(m0 / p0 - fu0, 0.0)
-        if headroom <= share * _CAP_SLACK:
-            capped = 1
-            extra = headroom
-        else:
-            extra = share
-    return [(fu0 + extra) * p0], rounds, capped
-
-
-def _solve_2(
-    w0: float, p0: float, c0: float, f0: float,
-    w1: float, p1: float, c1: float, f1: float,
-):
-    m0 = min(c0, p0)
-    m1 = min(c1, p1)
-    fu0 = min(f0, m0) / p0
-    fu1 = min(f1, m1) / p1
-    total_floor = fu0 + fu1
-    if total_floor > MAX_FLOOR_UTILISATION:
-        scale = MAX_FLOOR_UTILISATION / total_floor
-        fu0 = fu0 * scale
-        fu1 = fu1 * scale
-        total_floor = MAX_FLOOR_UTILISATION
-    remaining = 1.0 - total_floor
-    e0 = e1 = 0.0
-    rounds = 0
-    capped_total = 0
-    if remaining > _EPS_REMAINING:
-        rounds = 1
-        total_w = w0 + w1
-        s0 = remaining * w0 / total_w
-        s1 = remaining * w1 / total_w
-        h0 = max(m0 / p0 - fu0, 0.0)
-        h1 = max(m1 / p1 - fu1, 0.0)
-        cap0 = h0 <= s0 * _CAP_SLACK
-        cap1 = h1 <= s1 * _CAP_SLACK
-        if not cap0 and not cap1:
-            e0, e1 = s0, s1
-        elif cap0 and cap1:
-            capped_total = 2
-            e0, e1 = h0, h1
-        elif cap0:
-            capped_total = 1
-            e0 = h0
-            remaining = max(remaining - h0, 0.0)
-            if remaining > _EPS_REMAINING:
-                rounds = 2
-                share = remaining * w1 / w1
-                if h1 <= share * _CAP_SLACK:
-                    capped_total = 2
-                    e1 = h1
-                else:
-                    e1 = share
-        else:
-            capped_total = 1
-            e1 = h1
-            remaining = max(remaining - h1, 0.0)
-            if remaining > _EPS_REMAINING:
-                rounds = 2
-                share = remaining * w0 / w0
-                if h0 <= share * _CAP_SLACK:
-                    capped_total = 2
-                    e0 = h0
-                else:
-                    e0 = share
-    return [(fu0 + e0) * p0, (fu1 + e1) * p1], rounds, capped_total
-
-
-# -- vectorised general path ------------------------------------------------
-
-
-def _solve_n(
-    weights: Sequence[float],
-    peaks: Sequence[float],
-    caps: Sequence[float],
-    floors: Sequence[float],
-):
-    rates, rounds, capped = _solve_n_arrays(
-        np.asarray(weights, dtype=np.float64),
-        np.asarray(peaks, dtype=np.float64),
-        np.asarray(caps, dtype=np.float64),
-        np.asarray(floors, dtype=np.float64),
-    )
-    return rates.tolist(), rounds, capped
+# -- waterfill ---------------------------------------------------------------
 
 
 def _solve_n_arrays(
@@ -247,13 +133,13 @@ def _solve_n_arrays(
         fu = fu * (MAX_FLOOR_UTILISATION / total_floor)
         total_floor = MAX_FLOOR_UTILISATION
     remaining = 1.0 - total_floor
-    if remaining <= _EPS_REMAINING:
+    if remaining <= EPS_REMAINING:
         return fu * p, 0, 0
     headroom = np.maximum(m / p - fu, 0.0)
 
     total_w = sum(w.tolist())
     share = remaining * w / total_w
-    capped_mask = headroom <= share * _CAP_SLACK
+    capped_mask = headroom <= share * CAP_SLACK
     if not capped_mask.any():
         return (fu + share) * p, 1, 0
 
@@ -268,12 +154,12 @@ def _solve_n_arrays(
         remaining -= h
     remaining = max(remaining, 0.0)
     idx = idx[~capped_mask]
-    while idx.size and remaining > _EPS_REMAINING:
+    while idx.size and remaining > EPS_REMAINING:
         rounds += 1
         w_act = w[idx]
         total_w = sum(w_act.tolist())
         share = remaining * w_act / total_w
-        capped_mask = headroom[idx] <= share * _CAP_SLACK
+        capped_mask = headroom[idx] <= share * CAP_SLACK
         if not capped_mask.any():
             extra[idx] = share
             break
@@ -288,12 +174,6 @@ def _solve_n_arrays(
     return (fu + extra) * p, rounds, capped_total
 
 
-#: Stream count up to which the scalar waterfill beats the vectorised one.
-#: numpy's per-call overhead (array construction, fancy indexing) costs
-#: more than a Python loop until the active set reaches a few dozen.
-_SCALAR_MAX_STREAMS = 24
-
-
 def _solve_scalar(
     weights: Sequence[float],
     peaks: Sequence[float],
@@ -302,10 +182,10 @@ def _solve_scalar(
 ):
     """Plain-Python waterfill for small stream sets.
 
-    Operation-for-operation the same arithmetic as :func:`_solve_n` — every
-    elementwise numpy op maps to the identical scalar expression and every
-    reduction stays in demand order — so the result is bit-identical
-    (enforced by the parity tests in ``tests/test_blkio.py``).
+    Operation-for-operation the same arithmetic as :func:`_solve_n_arrays`
+    — every elementwise numpy op maps to the identical scalar expression
+    and every reduction stays in demand order — so the result is
+    bit-identical (enforced by the parity tests in ``tests/test_blkio.py``).
     """
     n = len(weights)
     m = [c if c < p else p for c, p in zip(caps, peaks)]
@@ -322,12 +202,12 @@ def _solve_scalar(
     active = list(range(n))
     rounds = 0
     capped_total = 0
-    while active and remaining > _EPS_REMAINING:
+    while active and remaining > EPS_REMAINING:
         rounds += 1
         total_w = 0.0
         for i in active:
             total_w += weights[i]
-        capped = [i for i in active if headroom[i] <= remaining * weights[i] / total_w * _CAP_SLACK]
+        capped = [i for i in active if headroom[i] <= remaining * weights[i] / total_w * CAP_SLACK]
         if not capped:
             for i in active:
                 extra[i] = remaining * weights[i] / total_w
@@ -344,132 +224,39 @@ def _solve_scalar(
     return [(u + e) * p for u, e, p in zip(fu, extra, peaks)], rounds, capped_total
 
 
-def solve_rates(
-    weights: Sequence[float],
-    peak_rates: Sequence[float],
-    caps: Sequence[float],
-    floors: Sequence[float],
-) -> list[float]:
-    """Assign a service rate (bytes/s) to every stream, SoA form.
-
-    Parallel sequences, one entry per stream, pre-validated by the caller
-    (the device layer's invariants already guarantee positive weights and
-    peaks, positive caps, non-negative finite floors).  Returns the rates
-    in input order.  Bit-identical to :func:`compute_rates_reference`.
-    """
-    n = len(weights)
-    if n == 0:
-        return []
-    if n == 1:
-        rates, rounds, capped = _solve_1(weights[0], peak_rates[0], caps[0], floors[0])
-    elif n == 2:
-        rates, rounds, capped = _solve_2(
-            weights[0], peak_rates[0], caps[0], floors[0],
-            weights[1], peak_rates[1], caps[1], floors[1],
-        )
-    elif jitkernels.waterfill is not None:
-        out, rounds, capped = jitkernels.waterfill(
-            np.asarray(weights, dtype=np.float64),
-            np.asarray(peak_rates, dtype=np.float64),
-            np.asarray(caps, dtype=np.float64),
-            np.asarray(floors, dtype=np.float64),
-        )
-        rates = out.tolist()
-    elif n <= _SCALAR_MAX_STREAMS:
-        rates, rounds, capped = _solve_scalar(weights, peak_rates, caps, floors)
-    else:
-        rates, rounds, capped = _solve_n(weights, peak_rates, caps, floors)
-    if OBS.enabled:
-        _, _, calls, rounds_c, capped_c, streams_h = _obs_handles()
-        calls.inc()
-        rounds_c.inc(rounds)
-        capped_c.inc(capped)
-        streams_h.observe(n)
-    return rates
-
-
-#: Below this stream count the device's array path converts back to the
-#: scalar waterfill when numba is unavailable: tiny active sets pay more
-#: for numpy dispatch than for a short Python loop.
+#: Stream count up to which :func:`solve_rates_arrays` runs the
+#: plain-Python waterfill: tiny active sets pay more for numpy dispatch
+#: (array temporaries, fancy indexing) than for a short loop.
 _ARRAY_SCALAR_MAX = 8
 
 
 def solve_rates_arrays(
     weights: np.ndarray,
+    peaks: np.ndarray,
     caps: np.ndarray,
-    is_write: np.ndarray,
-    peak_read: float,
-    peak_write: float,
-    write_floor: float = 0.0,
-    *,
-    peaks: np.ndarray | None = None,
-    floors: np.ndarray | None = None,
+    floors: np.ndarray,
 ) -> Sequence[float]:
-    """Directional array-native form of :func:`solve_rates`.
+    """Assign a service rate (bytes/s) to every stream.
 
-    The device fast path keeps per-stream weights/caps/directions in
-    persistent flat arrays; this entry point consumes them without any
-    per-call list assembly.  ``peak_read``/``peak_write`` are the
-    efficiency-scaled directional peaks and ``write_floor`` the
-    guaranteed per-write-stream minimum — the peak/floor vectors are
-    materialised here only when the general waterfill actually needs
-    them.  A caller that already maintains per-stream peak/floor arrays
-    (the device scales direction-keyed base rows by the current
-    efficiency) passes them as ``peaks``/``floors`` to skip even that.
-    Same allocation semantics, same observability counters, and
-    bit-identical rates to :func:`solve_rates` on the equivalent
-    unpacked inputs (the jitted waterfill, when enabled, is itself
-    bit-identical — see :mod:`repro.storage.jitkernels`).
+    Four parallel 1-D float64 arrays, one row per stream: blkio weight,
+    the device's peak rate for the stream's direction, throttle cap
+    (``inf`` = uncapped) and guaranteed floor.  Inputs are pre-validated
+    by the caller (the device layer's invariants already guarantee
+    positive weights and peaks, positive caps, non-negative finite
+    floors; :func:`compute_rates` validates through
+    :class:`StreamDemand`).  The device passes its persistent SoA rows
+    directly, so a call assembles nothing.
 
-    Returns the rates in input order as a list or 1-D float64 array.
+    Returns the rates in input order: a list of floats up to
+    ``_ARRAY_SCALAR_MAX`` streams, a float64 array above it.
     """
     n = weights.shape[0]
-    if n == 0:
-        return []
-    if n == 1:
-        iw = bool(is_write[0])
-        rates, rounds, capped = _solve_1(
-            weights[0].item(),
-            peak_write if iw else peak_read,
-            caps[0].item(),
-            write_floor if iw else 0.0,
-        )
-    elif n == 2:
-        i0 = bool(is_write[0])
-        i1 = bool(is_write[1])
-        rates, rounds, capped = _solve_2(
-            weights[0].item(),
-            peak_write if i0 else peak_read,
-            caps[0].item(),
-            write_floor if i0 else 0.0,
-            weights[1].item(),
-            peak_write if i1 else peak_read,
-            caps[1].item(),
-            write_floor if i1 else 0.0,
-        )
-    elif jitkernels.waterfill is None and n <= _ARRAY_SCALAR_MAX:
-        if peaks is None:
-            isw = is_write.tolist()
-            peak_list = [peak_write if iw else peak_read for iw in isw]
-            floor_list = [write_floor if iw else 0.0 for iw in isw]
-        else:
-            peak_list = peaks.tolist()
-            floor_list = floors.tolist()
+    if n <= _ARRAY_SCALAR_MAX:
         rates, rounds, capped = _solve_scalar(
-            weights.tolist(), peak_list, caps.tolist(), floor_list
+            weights.tolist(), peaks.tolist(), caps.tolist(), floors.tolist()
         )
     else:
-        if peaks is None:
-            peaks = np.where(is_write, peak_write, peak_read)
-            if write_floor:
-                floors = np.where(is_write, write_floor, 0.0)
-            else:
-                floors = np.zeros(n)
-        wf = jitkernels.waterfill
-        if wf is not None:
-            rates, rounds, capped = wf(weights, peaks, caps, floors)
-        else:
-            rates, rounds, capped = _solve_n_arrays(weights, peaks, caps, floors)
+        rates, rounds, capped = _solve_n_arrays(weights, peaks, caps, floors)
     if OBS.enabled:
         _, _, calls, rounds_c, capped_c, streams_h = _obs_handles()
         calls.inc()
@@ -480,78 +267,22 @@ def solve_rates_arrays(
 
 
 def compute_rates(demands: list[StreamDemand]) -> dict[int, float]:
-    """Assign a service rate (bytes/s) to every stream.
+    """Assign a service rate (bytes/s) to every stream, keyed by stream key.
 
-    The historical entry point: validates key uniqueness, unpacks the
-    demand dataclasses into arrays, and delegates to :func:`solve_rates`.
+    Validates key uniqueness, packs the demand dataclasses into float64
+    arrays and delegates to :func:`solve_rates_arrays`.
     """
     if not demands:
         return {}
     keys = [d.key for d in demands]
     if len(set(keys)) != len(keys):
         raise ValueError("stream keys must be unique")
-    rates = solve_rates(
-        [d.weight for d in demands],
-        [d.peak_rate for d in demands],
-        [d.cap for d in demands],
-        [d.floor for d in demands],
+    rates = solve_rates_arrays(
+        np.array([d.weight for d in demands], dtype=np.float64),
+        np.array([d.peak_rate for d in demands], dtype=np.float64),
+        np.array([d.cap for d in demands], dtype=np.float64),
+        np.array([d.floor for d in demands], dtype=np.float64),
     )
+    if isinstance(rates, np.ndarray):
+        rates = rates.tolist()
     return dict(zip(keys, rates))
-
-
-def compute_rates_reference(demands: list[StreamDemand]) -> dict[int, float]:
-    """The original O(n²) progressive-filling allocation (plain dicts).
-
-    Kept verbatim as the oracle for the solver-parity property tests and
-    as the pre-fast-path cost model benchmarked by the ``blkio_stress16``
-    scenario benchmarks.  Progressive filling over normalised utilisation:
-    weights share the single unit of device utilisation; a stream's
-    utilisation cap is ``min(cap, peak_rate) / peak_rate``.
-    """
-    if not demands:
-        return {}
-    keys = [d.key for d in demands]
-    if len(set(keys)) != len(keys):
-        raise ValueError("stream keys must be unique")
-
-    # Phase 0: reserve floors (in utilisation space), scaling down
-    # proportionally when they oversubscribe the reservable fraction.
-    floor_utils = {
-        d.key: min(d.floor, min(d.cap, d.peak_rate)) / d.peak_rate for d in demands
-    }
-    total_floor = sum(floor_utils.values())
-    if total_floor > MAX_FLOOR_UTILISATION:
-        scale = MAX_FLOOR_UTILISATION / total_floor
-        floor_utils = {k: u * scale for k, u in floor_utils.items()}
-        total_floor = MAX_FLOOR_UTILISATION
-
-    # Phase 1: progressive filling of the remaining utilisation by weight.
-    # Each stream's additional utilisation (on top of its floor) is capped
-    # by its throttle/peak headroom.
-    extra: dict[int, float] = {d.key: 0.0 for d in demands}
-    active = list(demands)
-    remaining_util = 1.0 - total_floor
-    while active and remaining_util > _EPS_REMAINING:
-        total_w = sum(d.weight for d in active)
-        capped = []
-        uncapped = []
-        for d in active:
-            share = remaining_util * d.weight / total_w
-            headroom = min(d.cap, d.peak_rate) / d.peak_rate - floor_utils[d.key]
-            headroom = max(headroom, 0.0)
-            if headroom <= share * _CAP_SLACK:
-                capped.append((d, headroom))
-            else:
-                uncapped.append(d)
-        if not capped:
-            for d in active:
-                extra[d.key] = remaining_util * d.weight / total_w
-            break
-        for d, headroom in capped:
-            extra[d.key] = headroom
-            remaining_util -= headroom
-        remaining_util = max(remaining_util, 0.0)
-        active = uncapped
-    return {
-        d.key: (floor_utils[d.key] + extra[d.key]) * d.peak_rate for d in demands
-    }

@@ -3,7 +3,7 @@
 A :class:`BlockDevice` hosts concurrent I/O streams.  Whenever the stream
 set, a weight, or a throttle changes, the device accrues every stream's
 progress at the old rates, recomputes the allocation via
-:func:`repro.storage.blkio.solve_rates`, and reschedules the next
+:func:`repro.storage.blkio.solve_rates_arrays`, and reschedules the next
 completion.  Request setup cost (seeks) is charged up-front as a latency
 phase of ``extents × seek_time`` before the stream joins the bandwidth
 competition — this is what makes the paper's contiguous bucket layout
@@ -41,13 +41,10 @@ execution" in ``docs/architecture.md``):
   append k rows and trigger **one** solve, not k.  All of this is
   float-op-for-float-op identical to the per-stream path — the recorded
   stress fingerprints in ``tests/test_dataplane_guard.py`` hold under
-  the per-entry test oracle and the optional numba kernels
-  (:mod:`repro.storage.jitkernels`).
-
-``fast_path=False`` restores the pre-optimisation cost model (immediate
-per-change reschedules, per-call ``StreamDemand`` construction and the
-dict-based reference solver) — the equivalence baseline for parity tests
-and the ``blkio_stress16`` benchmarks.
+  the per-entry dispatch oracle, and the test-only
+  ``tests/blkio_oracle.py::ReferenceBlockDevice`` (per-change
+  reschedules, dict-based solver) reproduces the pre-optimisation
+  history.
 
 Device presets approximate the paper's testbed: an Intel 400 GB SATA SSD
 (fast tier) and a Seagate 2 TB 7200 RPM SAS HDD (capacity tier), plus the
@@ -64,8 +61,7 @@ import numpy as np
 
 from repro.obs import OBS
 from repro.simkernel import Event, Simulation, batch_dispatch
-from repro.storage import jitkernels
-from repro.storage.blkio import StreamDemand, compute_rates_reference, solve_rates_arrays
+from repro.storage.blkio import solve_rates_arrays
 from repro.util.units import GiB, TiB, mb_per_s
 from repro.util.validation import check_non_negative, check_positive
 
@@ -86,7 +82,7 @@ _SOA_INITIAL = 16
 #: loop over the (list-converted) SoA rows: numpy's per-op dispatch
 #: costs more than a short loop until the active set reaches a few
 #: dozen.  Same expressions element for element, so the float results
-#: are bit-identical either way (mirrors ``blkio._SCALAR_MAX_STREAMS``).
+#: are bit-identical either way.
 _SYNC_SCALAR_MAX = 24
 
 #: At or below this stream count, finishing rows are compacted out of
@@ -252,14 +248,9 @@ class _Stream:
 class BlockDevice:
     """A shared block device driven by the simulation clock."""
 
-    def __init__(self, sim: Simulation, spec: DeviceSpec, *, fast_path: bool = True) -> None:
+    def __init__(self, sim: Simulation, spec: DeviceSpec) -> None:
         self.sim = sim
         self.spec = spec
-        #: When False, every reschedule rebuilds validated StreamDemand
-        #: dataclasses and runs the dict-based reference solver, and
-        #: cgroup changes recompute inline — the pre-optimisation cost
-        #: model (benchmark baseline / parity oracle).
-        self.fast_path = bool(fast_path)
         self._streams: list[_Stream] = []
         #: Persistent SoA hot state, index-aligned with ``_streams``
         #: (rows [0:n] are live).  Grown by doubling, compacted in place
@@ -600,7 +591,7 @@ class BlockDevice:
             self._finished = None
             return
         bytes_moved = self.bytes_moved
-        if n == 1 and jitkernels.progress is None:
+        if n == 1:
             # Single-stream fast path: lightly-loaded scenarios spend most
             # syncs here, where even the length-1 slice/tolist round trip
             # below costs several times the arithmetic.  Expressions match
@@ -628,14 +619,7 @@ class BlockDevice:
         rem = self._arr_rem[:n]
         isw = self._arr_is_write[:n]
         n_write = self._n_write
-        if jitkernels.progress is not None:
-            acc_read, acc_write, n_fin = jitkernels.progress(
-                rate, rem, isw, dt,
-                bytes_moved["read"], bytes_moved["write"], _COMPLETION_EPS,
-            )
-            bytes_moved["read"] = float(acc_read)
-            bytes_moved["write"] = float(acc_write)
-        elif n <= _SYNC_SCALAR_MAX:
+        if n <= _SYNC_SCALAR_MAX:
             acc_read = bytes_moved["read"]
             acc_write = bytes_moved["write"]
             n_fin = 0
@@ -767,9 +751,6 @@ class BlockDevice:
         self._inputs_stale = True
         if not self._streams:
             return
-        if not self.fast_path:
-            self.reschedule()
-            return
         self._dirty = True
         if self._flush_handle is None:
             self._flush_handle = self.sim.schedule(0.0, self._flush)
@@ -800,12 +781,10 @@ class BlockDevice:
         if not streams:
             return
         n = len(streams)
-        if n == 1 and jitkernels.horizon is None:
+        if n == 1:
             # Single-stream fast path: skip the length-1 slice/tolist round
             # trips (same arithmetic as the scalar loop below).
-            if not self.fast_path:
-                self._arr_rate[0] = self._solve_reference()[0]
-            elif self._demand_epoch != self._solved_epoch:
+            if self._demand_epoch != self._solved_epoch:
                 self._arr_rate[0] = self._solve_fast()[0]
             r = self._arr_rate.item(0)
             horizon = self._arr_rem.item(0) / r if r > 0.0 else math.inf
@@ -823,14 +802,10 @@ class BlockDevice:
         # Epoch-hit check inlined: most reschedules after a pure completion
         # horizon expiry re-solve with unchanged demand inputs — the rate
         # rows are already current, so nothing is even copied.
-        if not self.fast_path:
-            rate[:] = self._solve_reference()
-        elif self._demand_epoch != self._solved_epoch:
+        if self._demand_epoch != self._solved_epoch:
             rate[:] = self._solve_fast()
         rem = self._arr_rem[:n]
-        if jitkernels.horizon is not None:
-            horizon = jitkernels.horizon(rate, rem)
-        elif n <= _SYNC_SCALAR_MAX:
+        if n <= _SYNC_SCALAR_MAX:
             horizon = math.inf
             for r, ri in zip(rate.tolist(), rem.tolist()):
                 if r > 0.0:
@@ -906,14 +881,7 @@ class BlockDevice:
         rates = memo.get(sig)
         if rates is None:
             rates = solve_rates_arrays(
-                weights,
-                caps,
-                isw,
-                spec.read_bw * efficiency,
-                spec.write_bw * efficiency,
-                spec.write_floor_bps,
-                peaks=self._arr_pbase[:n] * efficiency,
-                floors=self._arr_floor[:n],
+                weights, self._arr_pbase[:n] * efficiency, caps, self._arr_floor[:n]
             )
             if len(memo) >= _SOLVE_MEMO_MAX:
                 memo.clear()
@@ -922,31 +890,6 @@ class BlockDevice:
         self._solved_epoch = self._demand_epoch
         self._solved_rates = rates
         return rates
-
-    def _solve_reference(self) -> list[float]:
-        """Pre-optimisation path: validated dataclasses + dict solver."""
-        streams = self._streams
-        directions = {s.direction for s in streams}
-        efficiency = self._speed_factor * self.spec.efficiency(
-            len(streams), mixed=len(directions) > 1
-        )
-        writeback = self.spec.writeback_weight
-        demands = [
-            StreamDemand(
-                key=s.key,
-                weight=(
-                    writeback
-                    if (writeback is not None and s.direction == "write")
-                    else s.cgroup.blkio_weight
-                ),
-                peak_rate=self.spec.peak(s.direction) * efficiency,
-                cap=s.cgroup.throttle_bps(self, s.direction),
-                floor=(self.spec.write_floor_bps if s.direction == "write" else 0.0),
-            )
-            for s in streams
-        ]
-        rates = compute_rates_reference(demands)
-        return [rates[s.key] for s in streams]
 
     def _complete_finished(self) -> None:
         """Fire completion events for the streams `_sync_progress` split off.

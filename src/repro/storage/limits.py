@@ -33,9 +33,9 @@ __all__ = [
 
 # -- waterfill solver constants -------------------------------------------
 #
-# Shared by the pure-python/numpy solver (:mod:`repro.storage.blkio`) and
-# the optional numba kernels (:mod:`repro.storage.jitkernels`); hoisted
-# here so both read one definition without a circular import.
+# Read by the solver (:mod:`repro.storage.blkio`) and by the test-only
+# reference solver, which must use the same definitions to stay
+# bit-identical.
 
 #: Writeback floors may reserve at most this fraction of the device:
 #: kernel dirty throttling keeps flushing, but never to the point of

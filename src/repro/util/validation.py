@@ -3,8 +3,8 @@
 Also home to the repo's deprecation machinery:
 :class:`ReproDeprecationWarning` (a :class:`DeprecationWarning` subclass
 the test suite escalates to an error, so internal code can never ship on
-a shimmed path) and the :func:`warn_deprecated` / :func:`rename_deprecated`
-helpers the ``repro.api`` migration shims are built from.
+a shimmed path) and the :func:`warn_deprecated` helper the ``repro.api``
+migration shims are built from.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ __all__ = [
     "check_probability",
     "ReproDeprecationWarning",
     "warn_deprecated",
-    "rename_deprecated",
-    "pop_renamed",
 ]
 
 
@@ -36,53 +34,6 @@ class ReproDeprecationWarning(DeprecationWarning):
 def warn_deprecated(message: str, *, stacklevel: int = 3) -> None:
     """Emit a :class:`ReproDeprecationWarning` pointing at the caller."""
     warnings.warn(message, ReproDeprecationWarning, stacklevel=stacklevel)
-
-
-def rename_deprecated(
-    kwargs: dict,
-    aliases: dict[str, str],
-    *,
-    context: str,
-) -> dict:
-    """Translate legacy keyword spellings in place, with warnings.
-
-    ``aliases`` maps ``old_name -> new_name``.  Passing both spellings is
-    a :class:`TypeError` (silently preferring one would hide a bug at the
-    call site).  Returns ``kwargs`` for chaining.
-    """
-    for old, new in aliases.items():
-        if old in kwargs:
-            if new in kwargs:
-                raise TypeError(
-                    f"{context} got both {old!r} (deprecated) and {new!r}"
-                )
-            warn_deprecated(
-                f"{context}: {old!r} is deprecated, use {new!r}", stacklevel=4
-            )
-            kwargs[new] = kwargs.pop(old)
-    return kwargs
-
-
-def pop_renamed(value, legacy: dict, *, old: str, new: str, context: str):
-    """Resolve a renamed parameter that still accepts its old keyword.
-
-    For signatures like ``def f(*, error_bounds=None, **legacy)`` where
-    the old spelling arrives in ``legacy``: warns and uses the legacy
-    value when given, rejects both-spellings and unknown keywords, and
-    requires one spelling to be present.  Returns the resolved value.
-    """
-    if old in legacy:
-        if value is not None:
-            raise TypeError(f"{context} got both {old!r} (deprecated) and {new!r}")
-        warn_deprecated(f"{context}: {old!r} is deprecated, use {new!r}", stacklevel=4)
-        value = legacy.pop(old)
-    if legacy:
-        raise TypeError(
-            f"{context} got unexpected keyword arguments {sorted(legacy)}"
-        )
-    if value is None:
-        raise TypeError(f"{context} missing required argument {new!r}")
-    return value
 
 
 def check_positive(name: str, value: float) -> float:

@@ -1,4 +1,4 @@
-"""Tests for repro.api — the blessed facade — and the deprecation shims."""
+"""Tests for repro.api — the blessed facade — and its deprecation policy."""
 
 import warnings
 
@@ -44,27 +44,11 @@ class TestFacade:
 
 
 class TestScenarioConfigShims:
-    def test_ladder_bounds_keyword_warns_and_maps(self):
-        from repro.experiments.config import ScenarioConfig
-
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            cfg = ScenarioConfig(ladder_bounds=(0.1, 0.01))
-        assert cfg.error_bounds == (0.1, 0.01)
-
-    def test_ladder_bounds_attribute_warns(self):
-        from repro.experiments.config import ScenarioConfig
-
-        cfg = ScenarioConfig()
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            assert cfg.ladder_bounds == cfg.error_bounds
-
     def test_both_spellings_rejected(self):
         from repro.experiments.config import ScenarioConfig
 
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                ScenarioConfig(ladder_bounds=(0.1,), error_bounds=(0.1,))
+            ScenarioConfig(ladder_bounds=(0.1,), error_bounds=(0.1,))
 
     def test_canonical_spelling_is_silent(self):
         from repro.experiments.config import ScenarioConfig
@@ -72,21 +56,6 @@ class TestScenarioConfigShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ReproDeprecationWarning)
             ScenarioConfig(error_bounds=(0.1, 0.01))
-
-
-class TestCampaignConfigShims:
-    def test_ladder_bounds_keyword_warns_and_maps(self):
-        from repro.experiments.campaign import CampaignConfig
-
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            cfg = CampaignConfig(ladder_bounds=(0.1, 0.01))
-        assert cfg.error_bounds == (0.1, 0.01)
-
-    def test_attribute_shim_warns(self):
-        from repro.experiments.campaign import CampaignConfig
-
-        with pytest.warns(ReproDeprecationWarning, match="ladder_bounds"):
-            assert CampaignConfig().ladder_bounds == (0.1, 0.01, 0.001)
 
 
 class TestBuildLadderShims:
@@ -97,30 +66,6 @@ class TestBuildLadderShims:
         field = make_app("xgc").generate((64, 64), seed=0)
         return decompose(field, levels_for_decimation(field.shape, 4))
 
-    def test_bounds_keyword_warns(self):
-        from repro.core.error_control import ErrorMetric, build_ladder
-
-        dec = self._dec()
-        with pytest.warns(ReproDeprecationWarning, match="bounds"):
-            ladder = build_ladder(dec, metric=ErrorMetric.NRMSE, bounds=[0.1, 0.01])
-        assert ladder.num_buckets == 2
-
-    def test_build_ladder_for_app_bounds_warns(self):
-        from repro.apps import make_app
-        from repro.core.error_control import ErrorMetric
-        from repro.experiments.runner import build_ladder_for_app
-
-        with pytest.warns(ReproDeprecationWarning, match="bounds"):
-            _, ladder = build_ladder_for_app(
-                make_app("xgc"),
-                grid_shape=(64, 64),
-                decimation_ratio=4,
-                metric=ErrorMetric.NRMSE,
-                bounds=(0.1, 0.01),
-                seed=0,
-            )
-        assert ladder.num_buckets == 2
-
     def test_unknown_keyword_rejected(self):
         from repro.core.error_control import ErrorMetric, build_ladder
 
@@ -129,15 +74,6 @@ class TestBuildLadderShims:
 
 
 class TestAbplotShim:
-    def test_positional_construction_warns(self):
-        from repro.core.abplot import AugmentationBandwidthPlot
-        from repro.util.units import mb_per_s
-
-        with pytest.warns(ReproDeprecationWarning, match="positional"):
-            ab = AugmentationBandwidthPlot(mb_per_s(30), mb_per_s(120))
-        assert ab.bw_low == mb_per_s(30)
-        assert ab.bw_high == mb_per_s(120)
-
     def test_keyword_construction_is_silent(self):
         from repro.core.abplot import AugmentationBandwidthPlot
         from repro.util.units import mb_per_s
@@ -150,9 +86,7 @@ class TestAbplotShim:
         from repro.core.abplot import AugmentationBandwidthPlot
 
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                AugmentationBandwidthPlot(1.0, bw_low=2.0)
+            AugmentationBandwidthPlot(1.0, bw_low=2.0)
 
     def test_too_many_positionals_rejected(self):
         from repro.core.abplot import AugmentationBandwidthPlot
@@ -162,20 +96,66 @@ class TestAbplotShim:
 
 
 class TestRunnerModuleShim:
-    def test_make_weight_function_import_warns(self):
-        import repro.experiments.runner as runner
-
-        with pytest.warns(ReproDeprecationWarning, match="make_weight_function"):
-            fn = runner.make_weight_function
-        from repro.engine.session import make_weight_function
-
-        assert fn is make_weight_function
-
     def test_unknown_attribute_still_raises(self):
         import repro.experiments.runner as runner
 
         with pytest.raises(AttributeError):
             runner.does_not_exist
+
+
+def _removed_spellings():
+    """Each old spelling whose one-release deprecation window has passed,
+    as (call, exception it now raises)."""
+    import repro.experiments.runner as runner
+    from repro.core.abplot import AugmentationBandwidthPlot
+    from repro.core.error_control import ErrorMetric, build_ladder
+    from repro.experiments.campaign import CampaignConfig
+    from repro.experiments.config import ScenarioConfig
+
+    # The build_ladder calls fail while binding arguments, before the
+    # (absent) decomposition or app is ever touched.
+    return {
+        "scenario_config_ladder_bounds_keyword": (
+            lambda: ScenarioConfig(ladder_bounds=(0.1, 0.01)), TypeError
+        ),
+        "scenario_config_ladder_bounds_attribute": (
+            lambda: ScenarioConfig().ladder_bounds, AttributeError
+        ),
+        "campaign_config_ladder_bounds_keyword": (
+            lambda: CampaignConfig(ladder_bounds=(0.1, 0.01)), TypeError
+        ),
+        "campaign_config_ladder_bounds_attribute": (
+            lambda: CampaignConfig().ladder_bounds, AttributeError
+        ),
+        "build_ladder_bounds_keyword": (
+            lambda: build_ladder(None, metric=ErrorMetric.NRMSE, bounds=[0.1, 0.01]),
+            TypeError,
+        ),
+        "build_ladder_for_app_bounds_keyword": (
+            lambda: runner.build_ladder_for_app(
+                None,
+                grid_shape=(64, 64),
+                decimation_ratio=4,
+                metric=ErrorMetric.NRMSE,
+                bounds=(0.1, 0.01),
+                seed=0,
+            ),
+            TypeError,
+        ),
+        "abplot_positional": (lambda: AugmentationBandwidthPlot(1.0, 2.0), TypeError),
+        "runner_make_weight_function": (lambda: runner.make_weight_function, AttributeError),
+    }
+
+
+class TestRemovedShims:
+    @pytest.mark.parametrize("spelling", sorted(_removed_spellings()))
+    def test_old_spelling_raises(self, spelling):
+        """No warning, no mapping: the old spelling fails like any unknown
+        keyword, positional or attribute (a ReproDeprecationWarning would
+        be escalated to an error and fail this test)."""
+        call, exc = _removed_spellings()[spelling]
+        with pytest.raises(exc):
+            call()
 
 
 class TestControllerConstructionShim:

@@ -20,6 +20,7 @@ from repro.simkernel import Simulation, Timeout
 from repro.storage.cgroup import CgroupController
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.units import MiB
+from tests.blkio_oracle import ReferenceBlockDevice
 from tests.scalar_oracle import ScalarSimulation
 
 
@@ -29,7 +30,7 @@ def _run_workload(
     seed=0,
     n_streams=12,
     horizon=12.0,
-    fast_path=True,
+    device_cls=BlockDevice,
 ):
     """One seeded random mixed workload; returns the full observable trace.
 
@@ -42,7 +43,7 @@ def _run_workload(
     dirs = [rng.choice(["read", "write"]) for _ in range(n_streams)]
     weights = [rng.randrange(1, 10) * 100 for _ in range(n_streams)]
     sim = sim_cls()
-    device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
+    device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-2t"])
     groups = CgroupController()
     cgroups = [groups.create(f"w{i}", weight=weights[i]) for i in range(n_streams)]
     trace = []
@@ -77,10 +78,10 @@ class TestDispatchParity:
 
     def test_reference_device_path_parity(self):
         """Batched dispatch is also identical on the pre-optimisation
-        device path (fast_path=False): grouping is a kernel property,
-        not a fast-path one."""
-        assert _run_workload(Simulation, fast_path=False) == _run_workload(
-            ScalarSimulation, fast_path=False
+        device path (the test-only ReferenceBlockDevice): grouping is a
+        kernel property, not a fast-path one."""
+        assert _run_workload(Simulation, device_cls=ReferenceBlockDevice) == _run_workload(
+            ScalarSimulation, device_cls=ReferenceBlockDevice
         )
 
 
@@ -120,14 +121,12 @@ class TestObsAggregationParity:
     (one counter inc per (device, direction) per epoch) must produce the
     same final values as per-completion increments would."""
 
-    def _run_with_obs(self, fast_path, sim_cls):
+    def _run_with_obs(self, device_cls, sim_cls):
         OBS.reset()
         OBS.enable()
         try:
             sim = sim_cls()
-            device = BlockDevice(
-                sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path
-            )
+            device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-2t"])
             groups = CgroupController()
             expected = {"read": [0, 0], "write": [0, 0]}
 
@@ -162,11 +161,11 @@ class TestObsAggregationParity:
 
     def test_final_counter_and_histogram_values_unchanged(self):
         runs = {
-            mode: self._run_with_obs(fast_path, sim_cls)
-            for mode, (fast_path, sim_cls) in {
-                "fast-batched": (True, Simulation),
-                "fast-scalar": (True, ScalarSimulation),
-                "reference-scalar": (False, ScalarSimulation),
+            mode: self._run_with_obs(device_cls, sim_cls)
+            for mode, (device_cls, sim_cls) in {
+                "fast-batched": (BlockDevice, Simulation),
+                "fast-scalar": (BlockDevice, ScalarSimulation),
+                "reference-scalar": (ReferenceBlockDevice, ScalarSimulation),
             }.items()
         }
         expected, observed = runs["fast-batched"]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,9 +11,9 @@ from repro.storage.blkio import (
     MAX_FLOOR_UTILISATION,
     StreamDemand,
     compute_rates,
-    compute_rates_reference,
-    solve_rates,
+    solve_rates_arrays,
 )
+from tests.blkio_oracle import compute_rates_reference
 
 PEAK = 200e6
 
@@ -212,39 +213,51 @@ _demand_strategy = st.builds(
 )
 
 
+def _assert_python_floats(rates):
+    assert all(type(r) is float for r in rates.values())
+
+
 class TestSolverParity:
-    """The vectorized solver must be *bit-identical* to the reference.
+    """The solver must be *bit-identical* to the reference.
 
     The pinned scenario fingerprints in ``tests/test_engine.py`` depend on
-    every allocated rate matching the pre-optimisation dict solver to the
-    last ulp — ``==``, not ``approx``.
+    every allocated rate matching the pre-optimisation dict solver
+    (``tests/blkio_oracle.py``) to the last ulp — ``==``, not ``approx``.
+    Up to ``_ARRAY_SCALAR_MAX`` (8) streams the solver runs a Python
+    loop, above it the numpy waterfill; both sides are compared.
     """
 
-    @given(specs=st.lists(_demand_strategy, min_size=1, max_size=12))
+    @given(specs=st.lists(_demand_strategy, min_size=1, max_size=40))
     @settings(max_examples=150, deadline=None)
     def test_property_bit_identical_to_reference(self, specs):
         demands = [
             d(i, s["weight"], peak=s["peak"], cap=s["cap"], floor=s["floor"])
             for i, s in enumerate(specs)
         ]
-        assert compute_rates(demands) == compute_rates_reference(demands)
+        rates = compute_rates(demands)
+        assert rates == compute_rates_reference(demands)
+        _assert_python_floats(rates)
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 40])
     def test_scalar_fast_paths_match_reference(self, n):
-        """n=1 and n=2 dispatch to branch-free scalar paths; n=3 to numpy."""
+        """Both sides of the solver's loop/numpy split (8 | 9)."""
         demands = [d(i, 100 + 50 * i, cap=(50e6 if i == 0 else math.inf)) for i in range(n)]
-        assert compute_rates(demands) == compute_rates_reference(demands)
+        rates = compute_rates(demands)
+        assert rates == compute_rates_reference(demands)
+        _assert_python_floats(rates)
 
     def test_solve_rates_positional_form_matches_wrapper(self):
+        """The array entry point returns the rates in row order."""
         demands = [d(0, 200, floor=20e6), d(1, 100, cap=60e6), d(2, 300)]
-        rates = solve_rates(
-            [dm.weight for dm in demands],
-            [dm.peak_rate for dm in demands],
-            [dm.cap for dm in demands],
-            [dm.floor for dm in demands],
+        rates = solve_rates_arrays(
+            np.array([dm.weight for dm in demands]),
+            np.array([dm.peak_rate for dm in demands]),
+            np.array([dm.cap for dm in demands]),
+            np.array([dm.floor for dm in demands]),
         )
         by_key = compute_rates(demands)
-        assert rates == [by_key[dm.key] for dm in demands]
+        assert list(rates) == [by_key[dm.key] for dm in demands]
 
     def test_empty_solve(self):
-        assert solve_rates([], [], [], []) == []
+        empty = np.zeros(0)
+        assert len(solve_rates_arrays(empty, empty, empty, empty)) == 0

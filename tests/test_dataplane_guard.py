@@ -12,9 +12,10 @@ Two oracles, chosen for coverage of both regimes:
   scenario engine path, i.e. every submission goes through
   ``ScenarioSession``'s plane.
 * **stress16** (the ``experiments/bench.py`` blkio stress recipe at a
-  30 s horizon, fast path and reference solver): the raw device path,
-  run twice — bare, and with a default plane attached — asserting the
-  *same* fingerprint for both.
+  30 s horizon, on :class:`BlockDevice` and on the test-only
+  :class:`~tests.blkio_oracle.ReferenceBlockDevice`): the raw device
+  path, run twice — bare, and with a default plane attached — asserting
+  the *same* fingerprint for both.
 
 If a refactor legitimately changes behaviour these hashes move together
 with the ones in ``tests/test_engine.py`` and must be re-recorded in the
@@ -29,6 +30,7 @@ from repro.simkernel import Simulation, Timeout
 from repro.storage.cgroup import CgroupController
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.units import MiB
+from tests.blkio_oracle import ReferenceBlockDevice
 from tests.scalar_oracle import ScalarSimulation
 
 # Recorded on the seed tree (commit 8be0c54), before repro.dataplane
@@ -56,7 +58,7 @@ def test_fig07_fingerprint_unchanged_by_dataplane():
 
 
 def _run_stress16(
-    fast_path: bool,
+    device_cls: type[BlockDevice] = BlockDevice,
     *,
     with_plane: bool = False,
     horizon: float = 30.0,
@@ -65,7 +67,7 @@ def _run_stress16(
     """The bench stress recipe (16 streams + weight churn), fingerprinted."""
     n_streams = 16
     sim = sim_cls()
-    device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
+    device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-2t"])
     if with_plane:
         DataPlane(sim).attach(device)
     groups = CgroupController()
@@ -99,28 +101,30 @@ def _run_stress16(
 
 
 def test_stress16_fast_path_fingerprint():
-    assert _run_stress16(True) == STRESS16_FAST_HASH
+    assert _run_stress16() == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_fingerprint():
-    assert _run_stress16(False) == STRESS16_REFERENCE_HASH
+    assert _run_stress16(ReferenceBlockDevice) == STRESS16_REFERENCE_HASH
 
 
 def test_stress16_with_default_plane_is_bit_identical():
     """The strong form of zero overhead: attach a policy-free default
     plane to the stressed device and get the exact same fingerprint."""
-    assert _run_stress16(True, with_plane=True) == STRESS16_FAST_HASH
+    assert _run_stress16(with_plane=True) == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_with_plane_is_bit_identical():
-    assert _run_stress16(False, with_plane=True) == STRESS16_REFERENCE_HASH
+    run = _run_stress16(ReferenceBlockDevice, with_plane=True)
+    assert run == STRESS16_REFERENCE_HASH
 
 
 def test_stress16_scalar_dispatch_is_bit_identical():
     """The hashes were recorded under grouped dispatch; the per-entry
     scalar oracle must reproduce them exactly."""
-    assert _run_stress16(True, sim_cls=ScalarSimulation) == STRESS16_FAST_HASH
+    assert _run_stress16(sim_cls=ScalarSimulation) == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_scalar_dispatch_is_bit_identical():
-    assert _run_stress16(False, sim_cls=ScalarSimulation) == STRESS16_REFERENCE_HASH
+    run = _run_stress16(ReferenceBlockDevice, sim_cls=ScalarSimulation)
+    assert run == STRESS16_REFERENCE_HASH

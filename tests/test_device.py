@@ -239,6 +239,11 @@ class TestValidation:
             DeviceSpec("x", read_bw=1, write_bw=1, seek_time=0, capacity=1,
                        concurrency_thrash=-0.5)
 
+    def test_removed_fast_path_option_rejected(self, sim):
+        """One device path: the reference path is a test-only oracle."""
+        with pytest.raises(TypeError):
+            BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=False)
+
 
 class TestPresets:
     def test_all_presets_valid(self):

@@ -1,9 +1,10 @@
 """Tests for the device fast path: SoA demands, memo, coalesced flushes.
 
-The optimized path must be *bit-identical* to ``fast_path=False`` (the
-pre-optimisation cost model: per-change reschedules, validated
-``StreamDemand`` rebuilds, dict-based reference solver).  The property
-test drives both variants through identical randomized op sequences —
+The optimized path must be *bit-identical* to the test-only
+:class:`~tests.blkio_oracle.ReferenceBlockDevice` (the pre-optimisation
+cost model: per-change reschedules, validated ``StreamDemand`` rebuilds,
+dict-based reference solver).  The property test drives both devices
+through identical randomized op sequences —
 submits, waits, weight changes, throttles, speed degradation — and
 compares every completion record with ``==``, not ``approx``.
 """
@@ -19,12 +20,13 @@ from repro.simkernel import Simulation, Timeout
 from repro.storage.cgroup import CgroupController
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.units import mb_per_s, mb_to_bytes
+from tests.blkio_oracle import ReferenceBlockDevice
 from tests.scalar_oracle import ScalarSimulation
 
 N_CGROUPS = 4
 
 
-def _run_script(ops, fast_path, sim_cls=Simulation):
+def _run_script(ops, device_cls=BlockDevice, sim_cls=Simulation):
     """Execute one op script; returns (completions, bytes_moved, end_time).
 
     ``ops`` is a list of tuples: ``("submit", cg, mb, dir, extents)``,
@@ -32,7 +34,7 @@ def _run_script(ops, fast_path, sim_cls=Simulation):
     ``("throttle", cg, dir, bps_or_None)``, ``("speed", factor)``.
     """
     sim = sim_cls()
-    device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-2t"], fast_path=fast_path)
+    device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-2t"])
     groups = CgroupController()
     cgs = [groups.create(f"g{i}") for i in range(N_CGROUPS)]
     completions = {}
@@ -100,7 +102,7 @@ class TestFastReferenceParity:
         """Every completion, byte counter, and the final clock match exactly
         across joins/leaves, weight/throttle churn, mixed directions, and
         speed-factor changes — the cache-invalidation sweep."""
-        assert _run_script(ops, True) == _run_script(ops, False)
+        assert _run_script(ops) == _run_script(ops, ReferenceBlockDevice)
 
     def test_mixed_direction_transition_parity(self):
         """Crossing read-only -> mixed -> read-only changes the efficiency
@@ -112,7 +114,7 @@ class TestFastReferenceParity:
             ("wait", 0.5),
             ("submit", 2, 30, "read", 1),
         ]
-        assert _run_script(ops, True) == _run_script(ops, False)
+        assert _run_script(ops) == _run_script(ops, ReferenceBlockDevice)
 
     def test_soa_crossover_parity_above_scalar_max(self):
         """40 concurrent streams crosses ``_SYNC_SCALAR_MAX`` (and the
@@ -128,8 +130,8 @@ class TestFastReferenceParity:
             ("throttle", 1, "read", 20e6),
             ("wait", 400.0),
         ]
-        fast = _run_script(ops, True)
-        assert fast == _run_script(ops, False)
+        fast = _run_script(ops)
+        assert fast == _run_script(ops, ReferenceBlockDevice)
         # Completion sanity: the horizon outlasts every stream.
         assert len(fast[0]) == 40
 
@@ -145,9 +147,9 @@ class TestFastReferenceParity:
             ("submit", 2, 10, "read", 1),
             ("wait", 50.0),
         ]
-        batched = _run_script(ops, True)
-        assert batched == _run_script(ops, True, sim_cls=ScalarSimulation)
-        assert batched == _run_script(ops, False, sim_cls=ScalarSimulation)
+        batched = _run_script(ops)
+        assert batched == _run_script(ops, sim_cls=ScalarSimulation)
+        assert batched == _run_script(ops, ReferenceBlockDevice, ScalarSimulation)
 
 
 @pytest.fixture
@@ -159,9 +161,9 @@ def obs_on():
     OBS.reset()
 
 
-def _two_stream_setup(fast_path=True):
+def _two_stream_setup(device_cls=BlockDevice):
     sim = Simulation()
-    device = BlockDevice(sim, DEVICE_PRESETS["seagate-hdd-15k"], fast_path=fast_path)
+    device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-15k"])
     groups = CgroupController()
     a, b = groups.create("a"), groups.create("b")
     sink = []
@@ -198,7 +200,7 @@ class TestAllocationCache:
         assert resched.value(device=device.name) == before + 1
 
     def test_reference_path_reschedules_per_change(self, obs_on):
-        sim, device, a, b = _two_stream_setup(fast_path=False)
+        sim, device, a, b = _two_stream_setup(ReferenceBlockDevice)
         resched = OBS.registry.counter("device.reschedules")
         before = resched.value(device=device.name)
         for w in (200, 300, 400, 500, 600):
@@ -347,9 +349,7 @@ class TestDemandSignature:
             ("wait", 0.2),
             ("weight", 0, 1000),
         ]
-        fast = _run_script(ops, True)
-        ref = _run_script(ops, False)
-        assert fast == ref
+        assert _run_script(ops) == _run_script(ops, ReferenceBlockDevice)
 
     def test_inf_throttle_roundtrip_in_signature(self):
         """Setting and clearing a throttle restores the original rates and
