@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.apps import make_app
-from repro.core.error_control import ErrorMetric, build_ladder
+from repro.core.error_control import ErrorMetric, build_ladder, release_ladder_scratch
 from repro.core.estimator import DFTEstimator
 from repro.core.refactor import decompose, recompose_full
 from repro.core.serialize import pack_ladder, unpack_ladder
@@ -65,8 +65,7 @@ def test_micro_build_ladder_reference_nocache(benchmark, dec):
     """The pre-fastladder cost model: exact probes, cold scratch each build."""
 
     def build():
-        if hasattr(dec, "_ladder_scratch"):
-            del dec._ladder_scratch
+        release_ladder_scratch(dec)
         return build_ladder(
             dec, [0.1, 0.01, 0.001], ErrorMetric.NRMSE, method="reference"
         )

@@ -165,8 +165,9 @@ def _cluster(fast: bool, workers=1):
 
 
 #: Regenerable paper artifacts: name -> callable(fast, workers=1).
-#: ``workers`` fans grid sweeps out over a SweepExecutor process pool
-#: where the underlying figure supports it; the rest ignore it.
+#: ``workers`` caps the processes a figure's grid sweep may use (a
+#: SweepExecutor, which pools only when the grid pays for it) where the
+#: underlying figure supports it; the rest ignore it.
 FIGURES: dict[str, Callable[..., object]] = {
     "fig01": _fig01,
     "fig02": _fig02,
@@ -281,8 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         default="1",
         metavar="N",
-        help="process-pool size for grid sweeps ('auto' = all CPUs; "
-        "figures without a sweep ignore it)",
+        help="most processes a grid sweep may use ('auto' = all CPUs); a pool "
+        "starts only when the timed first cell shows it pays; figures "
+        "without a sweep ignore it",
     )
     _add_obs_args(fig)
 
@@ -344,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         default="1",
         metavar="N",
-        help="process-pool size for grid sweeps ('auto' = all CPUs; "
-        "figures without a sweep ignore it)",
+        help="most processes a grid sweep may use ('auto' = all CPUs); a pool "
+        "starts only when the timed first cell shows it pays; figures "
+        "without a sweep ignore it",
     )
 
     cl = sub.add_parser(

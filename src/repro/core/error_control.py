@@ -40,6 +40,7 @@ __all__ = [
     "AugmentationBucket",
     "AccuracyLadder",
     "build_ladder",
+    "release_ladder_scratch",
     "BYTES_PER_COEFFICIENT",
     "COEFFICIENT_TAG_BYTES",
 ]
@@ -363,10 +364,10 @@ def _ladder_scratch(dec: Decomposition, original: np.ndarray | None) -> dict:
     Holds everything :func:`build_ladder` derives purely from the
     decomposition: the sorted stream, the recomposed ``original`` tensor,
     its range/peak, the lazily-built probe engine, and exact per-cut
-    errors.  Sweeps, the engine memo, and the benchmarks all rebuild
-    ladders for the *same* decomposition under different bound sets, so
-    the O(n log n) stream sort and O(n·levels) recomposition are paid
-    once per decomposition rather than once per call.
+    errors.  Fig. 11 and the benchmarks rebuild ladders for the *same*
+    decomposition under different bound sets, so the O(n log n) stream
+    sort and O(n·levels) recomposition are paid once per decomposition
+    rather than once per call.
 
     When the caller supplies ``original``, it is checked against the
     cached tensor (the hierarchy recomposes bit-exactly, so a caller
@@ -400,6 +401,18 @@ def _ladder_scratch(dec: Decomposition, original: np.ndarray | None) -> dict:
     }
     dec._ladder_scratch = scratch
     return scratch
+
+
+def release_ladder_scratch(dec: Decomposition) -> None:
+    """Drop ``dec``'s ladder-construction scratch, if it has any.
+
+    A built ladder keeps its own stream arrays and reference tensor, so
+    the scratch only matters to later :func:`build_ladder` calls on the
+    same decomposition.  Callers that build one ladder per decomposition
+    (the engine memo) release it to keep just what the ladder reads;
+    benchmarks release it to time a cold build.
+    """
+    vars(dec).pop("_ladder_scratch", None)
 
 
 #: Ladder-construction methods accepted by :func:`build_ladder`.
@@ -451,9 +464,10 @@ def build_ladder(
 
     Construction scratch — the sorted stream, the recomposed tensor, the
     probe engine, and exact per-cut errors — is cached on the
-    decomposition (:func:`_ladder_scratch`), because sweeps, the engine
-    memo, and the benchmarks rebuild ladders for the same decomposition
-    under many bound sets.
+    decomposition (:func:`_ladder_scratch`), because Fig. 11 and the
+    benchmarks rebuild ladders for the same decomposition under many
+    bound sets.  :func:`release_ladder_scratch` drops it once no further
+    build is coming.
     """
     if method not in LADDER_METHODS:
         raise ValueError(

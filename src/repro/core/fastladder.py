@@ -135,7 +135,12 @@ class LadderProbeEngine:
         level_offsets: np.ndarray,
         original: np.ndarray,
     ) -> None:
-        self._dec = dec
+        # Only the geometry the probes read is kept, not ``dec`` itself:
+        # the decomposition owns the ladder scratch that owns this engine,
+        # and a back-reference would make every dropped decomposition a
+        # cycle that waits for a full garbage collection.
+        self._shapes = list(dec.shapes)
+        self._strides = dec.strides
         self._tr = dec.transform_obj
         self._pos = np.asarray(stream_positions, dtype=np.intp)
         self._vals = np.asarray(stream_values, dtype=np.float64)
@@ -213,18 +218,17 @@ class LadderProbeEngine:
         if level == 0:
             entry = (pos, vals, 1)
         else:
-            dec = self._dec
-            ndim = len(dec.shapes[0])
+            shapes, strides = self._shapes, self._strides
             composed: list[np.ndarray] = []
-            for a in range(ndim):
+            for a in range(len(shapes[0])):
                 op = None
                 for lvl in range(1, level + 1):
                     step = self._tr.prolongation_operator_1d(
-                        dec.shapes[lvl][a], dec.shapes[lvl - 1][a], dec.stride(lvl - 1)
+                        shapes[lvl][a], shapes[lvl - 1][a], strides[lvl - 1]
                     )
                     op = step if op is None else op @ step
                 composed.append(np.asarray(op))
-            stencil = _LevelStencil(composed, dec.shapes[level], dec.shapes[0])
+            stencil = _LevelStencil(composed, shapes[level], shapes[0])
             idx, contrib = stencil.table(pos, vals)
             entry = (idx, contrib, stencil.footprint)
         self._footprints[k] = entry[2]
@@ -274,7 +278,7 @@ class LadderProbeEngine:
             state = self._boundary_states[k]
             for level in range(self._order_level[k] - 1, -1, -1):
                 state = self._tr.prolongate(
-                    state, self._dec.shapes[level], self._dec.stride(level)
+                    state, self._shapes[level], self._strides[level]
                 )
         diff = self._orig_flat - np.ascontiguousarray(state).reshape(-1)
         entry = (diff, float(np.dot(diff, diff)))
@@ -356,15 +360,15 @@ class LadderProbeEngine:
                     fine_spans.append((lo, hi))
                     continue
                 if run is None:
-                    run = np.zeros(self._dec.shapes[level])
+                    run = np.zeros(self._shapes[level])
                 else:
                     while run_level > level:
                         run_level -= 1
                         run = np.ascontiguousarray(
                             self._tr.prolongate(
                                 run,
-                                self._dec.shapes[run_level],
-                                self._dec.stride(run_level),
+                                self._shapes[run_level],
+                                self._strides[run_level],
                             )
                         )
                 run_level = level
@@ -373,7 +377,7 @@ class LadderProbeEngine:
             while run_level > 0:
                 run_level -= 1
                 run = self._tr.prolongate(
-                    run, self._dec.shapes[run_level], self._dec.stride(run_level)
+                    run, self._shapes[run_level], self._strides[run_level]
                 )
             delta = np.ascontiguousarray(run).reshape(-1)
             for lo, hi in fine_spans:

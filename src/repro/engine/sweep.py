@@ -1,35 +1,48 @@
-"""``SweepExecutor``: process-pool fan-out over scenario config grids.
+"""``SweepExecutor``: order-preserving fan-out over scenario config grids.
 
 Every sweep in the repository except Fig. 16 used to run serially; this
 generalizes Fig. 16's ad-hoc ``mp.Pool`` into one executor the figure
 grids, replication statistics, and any future sweep share:
 
-* ``map(fn, items)`` — order-preserving parallel map with a serial
-  fallback (``workers <= 1`` or a single item), so parallel output is
-  element-for-element identical to serial output;
-* ``run_scenarios(configs)`` — one :func:`run_scenario` per config in a
-  worker process, reduced to a picklable :class:`ScenarioSummary` (a
-  full ``ScenarioResult`` holds the simulation object graph and cannot
-  cross a process boundary).
+* ``map(fn, items)`` — order-preserving map that runs in this process
+  or in a process pool, whichever the measured work pays for; both run
+  the same job function, so the output is element-for-element identical
+  either way;
+* ``run_scenarios(configs)`` — one :func:`run_scenario` per config,
+  reduced to a picklable :class:`ScenarioSummary` (a full
+  ``ScenarioResult`` holds the simulation object graph and cannot cross
+  a process boundary).
 
 Workers are separate OS processes (``spawn`` context, mirroring the
 paper's per-node isolation), so runs share no state and determinism is
 free: the same config and seed produce the same summary wherever they
 execute.
 
-The pool is **warm**: the first parallel ``map`` spawns it and later
-calls reuse it, so a loop of maps (the cluster round loop, a figure
-running several grids back to back) pays worker startup once.  Use the
-executor as a context manager — or call :meth:`close` — to reclaim the
-workers; an unclosed executor tears its pool down on garbage collection.
+Running serially is a measured decision, not just the ``workers=1``
+default.  A fresh ``spawn`` worker needs about a second before its
+first result (interpreter start-up plus the ``repro`` imports), which
+dwarfs a small grid's cell work.  So a parallel ``map`` without a warm
+pool first runs job 0 in this process and times it, and starts a pool
+for the rest only if that time projects a saving above the start-up
+cost (:data:`_POOL_START_S`).
+
+The pool is **warm**: once started, later calls reuse it without
+re-deciding, so a loop of maps (a figure running several grids back to
+back) pays worker start-up once.  Use the executor as a context manager
+— or call :meth:`close` — to reclaim the workers; an unclosed executor
+tears its pool down on garbage collection.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
+import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
+
+from repro.obs import OBS
 
 __all__ = [
     "ScenarioSummary",
@@ -65,6 +78,23 @@ def _workers_cap() -> int | None:
     return cap
 
 
+#: Wall seconds a fresh ``spawn`` pool costs before its first result,
+#: beyond the job itself.  Measured as ``Pool(processes=2)`` through the
+#: first ``apply`` of a one-step ``run_scenario`` job, minus the same job
+#: run in an already-warm process with the memo cleared: 0.87–0.94 s over
+#: 5 runs on a 2-vCPU x86-64 Linux host (Python 3.11), most of it
+#: interpreter start-up and ``import repro.experiments.runner``.
+_POOL_START_S = 0.9
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: what ``workers="auto"`` resolves to."""
+    try:
+        return max(1, len(os.sched_getaffinity(0)))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return max(1, os.cpu_count() or 1)
+
+
 def resolve_workers(workers: int | str | None) -> int:
     """Normalize a worker count: ``None``/1 → serial, ``"auto"`` → CPUs.
 
@@ -75,10 +105,7 @@ def resolve_workers(workers: int | str | None) -> int:
     if workers is None:
         n = 1
     elif workers == "auto":
-        try:
-            n = max(1, len(os.sched_getaffinity(0)))
-        except AttributeError:  # pragma: no cover - non-Linux
-            n = max(1, os.cpu_count() or 1)
+        n = _usable_cpus()
     else:
         n = int(workers)
         if n < 1:
@@ -131,18 +158,21 @@ def _run_scenario_job(job) -> ScenarioSummary:
 
 
 class SweepExecutor:
-    """Order-preserving map over sweep jobs, optionally in a process pool.
+    """Order-preserving map over sweep jobs, in-process or in a process pool.
 
-    ``workers`` is the pool size: 1 (the default) runs serially
-    in-process, ``"auto"`` uses every available CPU.  Results always come
-    back in input order regardless of completion order, and the serial
-    path runs the exact same job function — a parallel sweep is
-    element-for-element identical to its serial fallback.
+    ``workers`` is the most processes a map may use: 1 (the default)
+    runs serially in-process, ``"auto"`` allows every available CPU.
+    Results always come back in input order regardless of completion
+    order, and every path runs the exact same job function — a parallel
+    sweep is element-for-element identical to a serial one.
 
-    The process pool is created lazily on the first parallel ``map`` and
-    stays warm for subsequent calls (``pool_creations`` counts spawns, so
-    tests can pin the reuse).  :meth:`close` — or exiting the executor's
-    ``with`` block — reclaims the workers.
+    With ``workers > 1`` the pool is created lazily, by the first ``map``
+    whose timed first job shows that the remaining jobs pay for it (see
+    :meth:`map`); a map that does not runs entirely in this process.
+    Once created the pool stays warm for subsequent calls
+    (``pool_creations`` counts spawns, so tests can pin the reuse).
+    :meth:`close` — or exiting the executor's ``with`` block — reclaims
+    the workers.
     """
 
     def __init__(
@@ -190,10 +220,51 @@ class SweepExecutor:
             pass
 
     def map(self, fn: Callable[[_T], _R], items: Iterable[_T]) -> list[_R]:
-        """Apply ``fn`` to every item, preserving input order."""
+        """Apply ``fn`` to every item, preserving input order.
+
+        With ``workers > 1``, at least two jobs and no warm pool, job 0
+        runs here and is timed (``t0``).  The ``r`` jobs left go to a new
+        pool only if ``(r − ⌈r/W⌉)·t0 > _POOL_START_S``, the time ``W =
+        min(workers, r, usable CPUs)`` processes would save over running
+        them here; otherwise they run here too.  A warm pool takes every
+        job, since its start-up is already paid.
+
+        With telemetry on, the ``sweep.maps`` counter records the path
+        taken (``path=serial|pool``) and the ``sweep.first_job_s`` gauge
+        the timed first job.  Jobs that run in this process record their
+        own simulation metrics exactly like a ``workers=1`` run; pooled
+        jobs record theirs in the workers, where they are not collected.
+        """
         jobs = list(items)
+        first_s = None
         if self.workers <= 1 or len(jobs) <= 1:
-            return [fn(job) for job in jobs]
+            out, path = [fn(job) for job in jobs], "serial"
+        elif self._pool is not None:
+            out, path = self._pool_map(fn, jobs), "pool"
+        else:
+            t0 = time.perf_counter()
+            out = [fn(jobs[0])]
+            first_s = time.perf_counter() - t0
+            rest = jobs[1:]
+            if self._pool_pays(first_s, len(rest)):
+                out += self._pool_map(fn, rest)
+                path = "pool"
+            else:
+                out += [fn(job) for job in rest]
+                path = "serial"
+        if OBS.enabled:
+            OBS.registry.counter("sweep.maps").inc(path=path)
+            if first_s is not None:
+                OBS.registry.gauge("sweep.first_job_s").set(first_s)
+        return out
+
+    def _pool_pays(self, job_s: float, remaining: int) -> bool:
+        """Whether ``remaining`` jobs of ``job_s`` each repay a pool's start-up."""
+        procs = min(self.workers, remaining, _usable_cpus())
+        saved = (remaining - math.ceil(remaining / procs)) * job_s
+        return saved > _POOL_START_S
+
+    def _pool_map(self, fn: Callable[[_T], _R], jobs: list[_T]) -> list[_R]:
         procs = min(self.workers, len(jobs))
         chunksize = self.chunksize or max(1, len(jobs) // (procs * 2))
         return self._ensure_pool().map(fn, jobs, chunksize=chunksize)

@@ -152,12 +152,6 @@ def _time(
     return times
 
 
-def _clear_scratch(dec) -> None:
-    """Drop the per-decomposition ladder scratch cache (emulates a cold build)."""
-    if hasattr(dec, "_ladder_scratch"):
-        del dec._ladder_scratch
-
-
 def _run_stress_blkio(
     *,
     n_streams: int = 16,
@@ -390,7 +384,7 @@ def run_microbench(
     import numpy as np
 
     from repro.apps import make_app
-    from repro.core.error_control import ErrorMetric, build_ladder
+    from repro.core.error_control import ErrorMetric, build_ladder, release_ladder_scratch
     from repro.core.refactor import decompose, recompose_full
     from repro.core.serialize import pack_ladder, unpack_ladder
 
@@ -410,12 +404,12 @@ def run_microbench(
         (
             "build_ladder_reference_nocache",
             lambda: build_ladder(dec, bounds, metric, method="reference"),
-            lambda: _clear_scratch(dec),
+            lambda: release_ladder_scratch(dec),
         ),
         (
             "build_ladder_hybrid_coldcache",
             lambda: build_ladder(dec, bounds, metric),
-            lambda: _clear_scratch(dec),
+            lambda: release_ladder_scratch(dec),
         ),
         ("build_ladder_hybrid", lambda: build_ladder(dec, bounds, metric), None),
         (

@@ -2,9 +2,11 @@
 
 Tango's recomposition is embarrassingly parallel: each node holds its own
 ephemeral storage and adapts independently, with no communication.  Weak
-scaling therefore runs one independent single-node scenario per node (in
-separate OS processes, mirroring the paper's 4-node Chameleon run) and
-reports the mean I/O time across nodes — expected to stay flat.
+scaling therefore runs one independent single-node scenario per node
+(through ``SweepExecutor``, in separate OS processes — mirroring the
+paper's 4-node Chameleon run — whenever the per-node work repays a
+process pool) and reports the mean I/O time across nodes — expected to
+stay flat.
 """
 
 from __future__ import annotations

@@ -8,14 +8,17 @@ to hashes recorded from the pre-engine implementations: the refactor onto
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
 import time
+import tracemalloc
+import weakref
 
 import pytest
 
-from repro.engine import memo
+from repro.engine import memo, sweep
 from repro.engine.registry import (
     APPS,
     ESTIMATORS,
@@ -30,6 +33,8 @@ from repro.experiments.campaign import CampaignConfig, CampaignResult, run_campa
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.multi import TenantSpec, run_multi_scenario
 from repro.experiments.runner import ScenarioResult, run_scenario
+from repro.obs import OBS, enabled_scope
+from tests import sweep_jobs
 from tests.scalar_oracle import ScalarSimulation
 
 
@@ -233,6 +238,53 @@ class TestMemoCache:
             data[0, 0] = 0.0
         memo.clear_cache()
 
+    def test_entry_keeps_only_what_the_ladder_reads(self):
+        from repro.apps import make_app
+
+        cfg = ScenarioConfig()
+        kwargs = dict(
+            grid_shape=cfg.grid_shape,
+            decimation_ratio=cfg.decimation_ratio,
+            metric=cfg.metric,
+            error_bounds=tuple(cfg.error_bounds),
+        )
+        app = make_app(cfg.app)
+        memo.ladder_for_app(app, seed=cfg.seed + 1, **kwargs)  # warm lazy imports
+        memo.clear_cache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            _, ladder = memo.ladder_for_app(app, seed=cfg.seed, **kwargs)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert not hasattr(ladder.decomposition, "_ladder_scratch")
+        # The default-config entry held 7.07 MiB with the scratch.
+        assert held <= 2.5 * 2**20, f"memo entry holds {held / 2**20:.2f} MiB"
+        memo.clear_cache()
+
+    def test_clear_cache_frees_an_entry_without_gc(self):
+        from repro.apps import make_app
+
+        memo.clear_cache()
+        _, ladder = memo.ladder_for_app(
+            make_app("xgc"),
+            grid_shape=(64, 64),
+            decimation_ratio=4,
+            metric=ScenarioConfig(max_steps=1).metric,
+            error_bounds=(0.1, 0.01),
+            seed=0,
+        )
+        ref = weakref.ref(ladder.decomposition)
+        gc.disable()
+        try:
+            del ladder
+            memo.clear_cache()
+            assert ref() is None, "a reference cycle keeps the entry alive"
+        finally:
+            gc.enable()
+
 
 def _rec_tuple(r):
     return (
@@ -384,7 +436,7 @@ class TestSweepExecutor:
         assert ex.map(lambda x: x * x, range(5)) == [0, 1, 4, 9, 16]
         assert not ex.is_parallel
 
-    def test_parallel_matches_serial_exactly(self):
+    def test_parallel_matches_serial_exactly(self, pool_always_pays):
         configs = _sweep_configs()
         assert len(configs) >= 8
         serial = SweepExecutor(workers=1).run_scenarios(configs)
@@ -395,23 +447,36 @@ class TestSweepExecutor:
             assert a == b, f"summary {i} differs between serial and parallel"
             assert a.config == configs[i]
 
+    def test_parallel_speedup_small_grid_stays_in_process(self):
+        # Eight max_steps=4 cells cannot repay a spawned pool's start-up,
+        # so "auto" runs them here, with the serial run's summaries.
+        configs = [ScenarioConfig(max_steps=4, seed=s) for s in range(8)]
+        memo.clear_cache()
+        serial = SweepExecutor(workers=1).run_scenarios(configs)
+        memo.clear_cache()
+        with SweepExecutor(workers="auto") as ex:
+            auto = ex.run_scenarios(configs)
+            assert ex.pool_creations == 0
+        assert auto == serial
+
     @pytest.mark.skipif(
         len(os.sched_getaffinity(0)) < 2,
         reason="speedup needs at least two CPUs",
     )
-    def test_parallel_speedup(self):
-        configs = [
-            ScenarioConfig(max_steps=4, seed=s) for s in range(8)
-        ]
+    def test_parallel_speedup_once_work_dominates(self):
+        # Sleeping jobs keep this independent of CPU speed: job 0's time
+        # projects a saving well above the start-up, so the other seven
+        # go to one pool and the map beats the serial sum.
+        jobs = list(range(8))
         t0 = time.perf_counter()
-        SweepExecutor(workers=1).run_scenarios(configs)
-        serial_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        SweepExecutor(workers="auto").run_scenarios(configs)
-        parallel_s = time.perf_counter() - t0
-        assert parallel_s < serial_s, (
-            f"parallel sweep ({parallel_s:.1f}s) not faster than serial "
-            f"({serial_s:.1f}s)"
+        with SweepExecutor(workers=2) as ex:
+            out = ex.map(sweep_jobs.sleep_job, jobs)
+            assert ex.pool_creations == 1
+        elapsed = time.perf_counter() - t0
+        assert out == jobs
+        assert elapsed < len(jobs) * sweep_jobs.SLEEP_S, (
+            f"pooled map ({elapsed:.2f}s) not faster than the serial sum "
+            f"({len(jobs) * sweep_jobs.SLEEP_S:.2f}s)"
         )
 
     def test_summary_matches_full_result(self):
@@ -436,6 +501,18 @@ def _square(x: int) -> int:
     return x * x
 
 
+@pytest.fixture
+def pool_always_pays(monkeypatch):
+    """Make every gated map start a pool, so a test drives a real one.
+
+    With no start-up cost and two usable CPUs, any first job with a
+    nonzero time projects a saving, on any host.
+    """
+    monkeypatch.setattr(sweep, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.usefixtures("pool_always_pays")
 class TestSweepExecutorWarmPool:
     def test_pool_spawned_once_across_maps(self):
         # The warm-pool satellite: two parallel maps over one executor
@@ -464,6 +541,52 @@ class TestSweepExecutorWarmPool:
             ex.close()  # idempotent
             ex.map(_square, range(4))
             assert ex.pool_creations == 2
+
+    def test_first_job_runs_in_the_parent(self):
+        with SweepExecutor(workers=2) as ex:
+            pids = ex.map(sweep_jobs.pid_job, range(4))
+            assert ex.pool_creations == 1
+        assert pids[0] == os.getpid()
+        assert all(pid != os.getpid() for pid in pids[1:])
+
+
+class TestSweepGate:
+    def test_one_usable_cpu_never_pools(self, monkeypatch):
+        # W = min(workers, r, CPUs) = 1 projects no saving at all.
+        monkeypatch.setattr(sweep, "_POOL_START_S", 0.0)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
+        with SweepExecutor(workers=2) as ex:
+            assert ex.map(_square, range(6)) == [x * x for x in range(6)]
+            assert ex.pool_creations == 0
+
+    def test_telemetry_records_serial_path_and_first_job(self):
+        OBS.reset()
+        try:
+            SweepExecutor(workers=2).map(_square, range(3))
+            assert len(OBS.registry) == 0  # telemetry off: nothing recorded
+            with enabled_scope():
+                SweepExecutor(workers=1).map(_square, range(3))
+                assert "sweep.first_job_s" not in OBS.registry  # no gate ran
+                with SweepExecutor(workers=2) as ex:
+                    ex.map(_square, range(3))
+            maps = OBS.registry.get("sweep.maps")
+            assert maps.value(path="serial") == 2
+            assert maps.value(path="pool") == 0
+            first_s = OBS.registry.get("sweep.first_job_s").value()
+            assert 0.0 < first_s < sweep._POOL_START_S
+        finally:
+            OBS.reset()
+
+    def test_telemetry_records_pool_path(self, pool_always_pays):
+        OBS.reset()
+        try:
+            with enabled_scope(), SweepExecutor(workers=2) as ex:
+                ex.map(_square, range(4))  # gate: job 0 here, then a pool
+                ex.map(_square, range(4))  # warm pool: no gate
+            assert OBS.registry.get("sweep.maps").value(path="pool") == 2
+            assert OBS.registry.get("sweep.first_job_s").value() > 0.0
+        finally:
+            OBS.reset()
 
 
 class TestWorkersEnvOverride:

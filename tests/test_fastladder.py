@@ -13,7 +13,9 @@ regression against the historical behaviour — not just internal
 self-consistency — is caught.
 """
 
+import gc
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.core.error_control import (
     _search_cut,
     _search_cut_seeded,
     build_ladder,
+    release_ladder_scratch,
 )
 from repro.core.fastladder import LadderProbeEngine
 from repro.core.refactor import decompose, recompose_full
@@ -450,6 +453,33 @@ class TestScratchCache:
         other = build_ladder(dec, [0.05], ErrorMetric.NRMSE)
         fresh = build_ladder(decompose(field, 3), [0.05], ErrorMetric.NRMSE)
         assert [b.stop for b in other.buckets] == [b.stop for b in fresh.buckets]
+
+    def test_release_drops_the_scratch(self):
+        field = make_field((48, 40), seed=9)
+        dec = decompose(field, 3)
+        first = build_ladder(dec, [0.1, 0.01], ErrorMetric.NRMSE)
+        release_ladder_scratch(dec)
+        assert not hasattr(dec, "_ladder_scratch")
+        release_ladder_scratch(dec)  # idempotent
+        again = build_ladder(dec, [0.1, 0.01], ErrorMetric.NRMSE)
+        assert [b.stop for b in again.buckets] == [b.stop for b in first.buckets]
+        assert [b.achieved_error for b in again.buckets] == [
+            b.achieved_error for b in first.buckets
+        ]
+
+    def test_dropped_decomposition_is_freed_without_gc(self):
+        # decomposition -> scratch -> probe engine must not lead back to
+        # the decomposition, or every dropped one waits for a full GC.
+        dec = decompose(make_field((48, 40), seed=9), 3)
+        ladder = build_ladder(dec, [0.1, 0.01], ErrorMetric.NRMSE)
+        assert dec._ladder_scratch["engine"] is not None
+        ref = weakref.ref(dec)
+        gc.disable()
+        try:
+            del dec, ladder
+            assert ref() is None, "a reference cycle keeps the decomposition alive"
+        finally:
+            gc.enable()
 
     def test_mismatched_original_rejected(self):
         field = make_field((32, 32), seed=3)
