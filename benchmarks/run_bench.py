@@ -55,8 +55,6 @@ def main(argv: list[str] | None = None) -> int:
         levels=args.levels,
         progress=progress,
     )
-    speedup = report["derived"]["ladder_speedup_default_vs_reference"]
-    print(f"  ladder speedup (default vs reference): {speedup:.1f}x")
     path = write_report(report, args.output)
     print(f"report written to {path}")
     return 0

@@ -5,12 +5,13 @@ built the way they are:
 
 * estimator — the DFT predictor vs the mean / last-value baselines;
 * abplot thresholds — sensitivity to the BW_low/BW_high clamp points;
-* ladder construction — measured binary search vs the analytic
+* ladder construction — the default measured search vs the analytic
   residual-energy proxy;
 * noise predictability — how checkpoint-period drift affects the
   cross-layer win.
 """
 
+import statistics
 import time
 
 import numpy as np
@@ -101,41 +102,51 @@ def test_ablation_abplot_thresholds(benchmark, emit):
 
 
 def test_ablation_ladder_method(benchmark, emit):
-    """Analytic cut estimation vs measured binary search: same rungs,
-    cheaper construction."""
+    """Analytic cut estimation vs the default measured search: same rungs,
+    cheaper construction.
+
+    Every build is cold, on its own fresh decomposition, so neither
+    method inherits the other's stream sort or recompose.  The methods
+    alternate which goes first each round, and each reports the median
+    of ``rounds`` builds after one discarded warm-up round.
+    """
+    rounds = 7
+    methods = ("hybrid", "analytic")
+    field = make_app("xgc").generate((256, 256), seed=0)
+    bounds = [0.1, 0.01, 0.001, 0.0001]
 
     def run():
-        field = make_app("xgc").generate((256, 256), seed=0)
-        dec = decompose(field, 4)
-        bounds = [0.1, 0.01, 0.001, 0.0001]
-        t0 = time.perf_counter()
-        measured = build_ladder(dec, bounds, ErrorMetric.NRMSE, method="measured")
-        t_measured = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        analytic = build_ladder(dec, bounds, ErrorMetric.NRMSE, method="analytic")
-        t_analytic = time.perf_counter() - t0
-        return measured, analytic, t_measured, t_analytic
+        times = {m: [] for m in methods}
+        ladders = {}
+        for r in range(1 + rounds):
+            for method in methods if r % 2 else methods[::-1]:
+                dec = decompose(field, 4)
+                t0 = time.perf_counter()
+                ladders[method] = build_ladder(dec, bounds, ErrorMetric.NRMSE, method=method)
+                if r:
+                    times[method].append(time.perf_counter() - t0)
+        return ladders, {m: statistics.median(t) for m, t in times.items()}
 
-    measured, analytic, t_m, t_a = benchmark.pedantic(run, rounds=1, iterations=1)
-    rows = [
-        ("measured", f"{t_m * 1e3:.1f} ms", [b.stop for b in measured.buckets]),
-        ("analytic", f"{t_a * 1e3:.1f} ms", [b.stop for b in analytic.buckets]),
-    ]
+    ladders, medians = benchmark.pedantic(run, rounds=1, iterations=1)
     emit(
         "ablation_ladder",
         format_table(
-            ["Method", "Build time", "Cuts"],
-            [(n, t, str(c)) for n, t, c in rows],
-            title="Ablation: ladder construction method",
+            ["Method", f"Build time (median of {rounds})", "Cuts"],
+            [
+                (m, f"{medians[m] * 1e3:.1f} ms", str([b.stop for b in ladders[m].buckets]))
+                for m in methods
+            ],
+            title="Ablation: ladder construction method (cold builds)",
         ),
     )
     # Both honour every bound; cuts agree within a few percent of the stream.
-    for lad in (measured, analytic):
+    for lad in ladders.values():
         for b in lad.buckets:
             assert lad.metric.satisfied(b.achieved_error, b.bound)
-    n = measured.stream_length
-    for bm, ba in zip(measured.buckets, analytic.buckets):
-        assert abs(bm.stop - ba.stop) <= max(0.05 * n, 512)
+    hybrid, analytic = ladders["hybrid"], ladders["analytic"]
+    n = hybrid.stream_length
+    for bh, ba in zip(hybrid.buckets, analytic.buckets):
+        assert abs(bh.stop - ba.stop) <= max(0.05 * n, 512)
 
 
 def test_ablation_analysis_period(benchmark, emit):

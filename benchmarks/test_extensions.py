@@ -37,7 +37,7 @@ def test_extension_churn(benchmark, emit):
     from repro.core.controller import make_policy
     from repro.experiments.config import DEFAULTS
     from repro.engine.session import make_weight_function
-    from repro.experiments.runner import build_ladder_for_app
+    from repro.engine.memo import ladder_for_app
     from repro.apps import make_app
     from repro.simkernel import Simulation
     from repro.storage.staging import stage_dataset
@@ -56,7 +56,7 @@ def test_extension_churn(benchmark, emit):
             seed=seed + 100,
         )
         app = make_app("xgc")
-        _, ladder = build_ladder_for_app(
+        _, ladder = ladder_for_app(
             app,
             grid_shape=DEFAULTS.grid_shape,
             decimation_ratio=DEFAULTS.decimation_ratio,

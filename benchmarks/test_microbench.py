@@ -42,11 +42,6 @@ def test_micro_recompose_full(benchmark, dec, field):
     np.testing.assert_allclose(result, field, atol=1e-10)
 
 
-def test_micro_build_ladder_measured(benchmark, dec):
-    result = benchmark(build_ladder, dec, [0.1, 0.01, 0.001], ErrorMetric.NRMSE)
-    assert result.num_buckets == 3
-
-
 def test_micro_build_ladder_analytic(benchmark, dec):
     result = benchmark(
         build_ladder, dec, [0.1, 0.01, 0.001], ErrorMetric.NRMSE, method="analytic"
@@ -61,14 +56,12 @@ def test_micro_build_ladder_hybrid(benchmark, dec):
     assert result.num_buckets == 3
 
 
-def test_micro_build_ladder_reference_nocache(benchmark, dec):
-    """The pre-fastladder cost model: exact probes, cold scratch each build."""
+def test_micro_build_ladder_hybrid_coldcache(benchmark, dec):
+    """The user-path cost: cold scratch each build, as the memo builds."""
 
     def build():
         release_ladder_scratch(dec)
-        return build_ladder(
-            dec, [0.1, 0.01, 0.001], ErrorMetric.NRMSE, method="reference"
-        )
+        return build_ladder(dec, [0.1, 0.01, 0.001], ErrorMetric.NRMSE)
 
     result = benchmark.pedantic(build, rounds=3, iterations=1)
     assert result.num_buckets == 3

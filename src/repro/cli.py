@@ -635,8 +635,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         levels=args.levels,
         progress=progress,
     )
-    speedup = report["derived"]["ladder_speedup_default_vs_reference"]
-    print(f"  ladder speedup (default vs reference): {speedup:.1f}x")
     path = write_report(report, args.output or repo_root() / BENCH_FILENAME)
     print(f"report written to {path}", file=sys.stderr)
     return 0

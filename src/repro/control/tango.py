@@ -2,108 +2,25 @@
 
 The control law is exactly the base loop's default — the DFT (or
 ablation) estimator's one-step prediction with periodic refits — so
-this class adds nothing but the name and the legacy construction shim.
-Runs through ``CONTROLLERS.get("tango")`` are bit-identical to the
-pre-registry ``TangoController``, pinned by the recorded engine and
-fig07 fingerprints.
+this class adds nothing but the name.  Runs through
+``CONTROLLERS.get("tango")`` are bit-identical to the pre-registry
+``TangoController``, pinned by the recorded engine and fig07
+fingerprints.
 """
 
 from __future__ import annotations
 
 from repro.control.base import BaseController
-from repro.control.config import ControllerConfig
 from repro.engine.registry import register_controller
-from repro.util.validation import warn_deprecated
 
 __all__ = ["TangoController"]
-
-#: Keyword spellings of the pre-ControllerConfig constructor.
-_LEGACY_KWARGS = (
-    "prescribed_bound",
-    "priority",
-    "estimation_interval",
-    "min_history",
-    "history_window",
-    "optimistic_bw",
-)
 
 
 @register_controller("tango")
 class TangoController(BaseController):
     """Tango's adaptation loop (Section III): estimator prediction → plan.
 
-    Construct with ``config=ControllerConfig(...)``.  The legacy
-    positional/keyword signature (``prescribed_bound, priority,
-    estimator, *, estimation_interval, ...``) keeps working for one
-    release behind a deprecation warning.
+    Construct with ``config=ControllerConfig(...)``.
     """
 
     name = "tango"
-
-    def __init__(
-        self,
-        ladder,
-        policy,
-        abplot,
-        *args,
-        config: ControllerConfig | None = None,
-        estimator=None,
-        degradation=None,
-        **legacy,
-    ) -> None:
-        if config is not None:
-            if args or legacy:
-                raise TypeError(
-                    "TangoController got both config= and legacy parameters "
-                    f"{list(legacy) or list(map(type, args))}; "
-                    "pass everything through ControllerConfig"
-                )
-        else:
-            if not args and not legacy:
-                raise TypeError(
-                    "TangoController missing required argument 'config' "
-                    "(a ControllerConfig)"
-                )
-            if len(args) > 3:
-                raise TypeError(
-                    f"TangoController takes at most 3 legacy positional "
-                    f"parameters (prescribed_bound, priority, estimator), "
-                    f"got {len(args)}"
-                )
-            warn_deprecated(
-                "TangoController(ladder, policy, abplot, prescribed_bound, ...) "
-                "is deprecated; pass config=ControllerConfig(prescribed_bound=..., ...)"
-            )
-            params = dict(zip(("prescribed_bound", "priority", "estimator"), args))
-            if "estimator" in params:
-                if estimator is not None:
-                    raise TypeError(
-                        "TangoController got estimator both positionally and by keyword"
-                    )
-                estimator = params.pop("estimator")
-            if "estimator" in legacy:
-                if estimator is not None:
-                    raise TypeError(
-                        "TangoController got multiple values for 'estimator'"
-                    )
-                estimator = legacy.pop("estimator")
-            unknown = set(legacy) - set(_LEGACY_KWARGS)
-            if unknown:
-                raise TypeError(
-                    f"TangoController got unexpected keyword arguments {sorted(unknown)}"
-                )
-            overlap = set(params) & set(legacy)
-            if overlap:
-                raise TypeError(
-                    f"TangoController got multiple values for {sorted(overlap)}"
-                )
-            params.update(legacy)
-            config = ControllerConfig(**params)
-        super().__init__(
-            ladder,
-            policy,
-            abplot,
-            config=config,
-            estimator=estimator,
-            degradation=degradation,
-        )

@@ -13,14 +13,13 @@ down to ``Aug^0``): a coarse correction is a prerequisite for the finer
 levels to be meaningful, and the paper's ladder of accuracies
 ``ε_0 < ε_1 < …`` walks down the hierarchy the same way.
 
-Cut positions are found by *measured* reconstruction error (binary search
-with a monotonicity fix-up), so a bucket's error bound is guaranteed
-against the actual reconstruction, not an analytic proxy.  The search is
-driven by the incremental probe engine in :mod:`repro.core.fastladder`
-(per-level boundary caching + O(Δcut · stencil) SSE updates); the final
-cut of every rung is re-measured with the exact reconstruction, and the
-default ``method="hybrid"`` additionally seeds the search from the
-analytic residual-energy estimate to cut probe counts a further 3–5×.
+Cut positions are found by *measured* reconstruction error, so a
+bucket's error bound is guaranteed against the actual reconstruction,
+not an analytic proxy.  The search is seeded from a residual-energy
+estimate and driven by the incremental probe engine in
+:mod:`repro.core.fastladder` (per-level boundary caching +
+O(Δcut · stencil) SSE updates); the final cut of every rung is
+re-measured with the exact reconstruction, with a monotonicity fix-up.
 """
 
 from __future__ import annotations
@@ -170,7 +169,6 @@ class AccuracyLadder:
         level_offsets: np.ndarray,
         buckets: list[AugmentationBucket],
         base_error: float,
-        original: np.ndarray | None = None,
     ) -> None:
         self.decomposition = decomposition
         self.budget = budget
@@ -180,7 +178,6 @@ class AccuracyLadder:
         self._level_offsets = level_offsets
         self.buckets = buckets
         self.base_error = base_error
-        self._original = original
 
     # -- sizes ---------------------------------------------------------
 
@@ -254,12 +251,6 @@ class AccuracyLadder:
             self._level_offsets,
             cut,
         )
-
-    def error_at_cut(self, cut: int) -> float:
-        """Measured error (per the ladder's metric) at a stream cut."""
-        if self._original is None:
-            self._original = recompose_full(self.decomposition)
-        return self.metric.evaluate(self._original, self.reconstruct_at_cut(cut))
 
     def find_bucket_for_bound(self, bound: float) -> int:
         """Smallest rung whose achieved error satisfies ``bound``.
@@ -406,17 +397,21 @@ def _ladder_scratch(dec: Decomposition, original: np.ndarray | None) -> dict:
 def release_ladder_scratch(dec: Decomposition) -> None:
     """Drop ``dec``'s ladder-construction scratch, if it has any.
 
-    A built ladder keeps its own stream arrays and reference tensor, so
-    the scratch only matters to later :func:`build_ladder` calls on the
-    same decomposition.  Callers that build one ladder per decomposition
-    (the engine memo) release it to keep just what the ladder reads;
+    A built ladder keeps its own stream arrays, so the scratch only
+    matters to later :func:`build_ladder` calls on the same
+    decomposition.  Callers that build one ladder per decomposition (the
+    engine memo) release it to keep just what the ladder reads;
     benchmarks release it to time a cold build.
     """
     vars(dec).pop("_ladder_scratch", None)
 
 
 #: Ladder-construction methods accepted by :func:`build_ladder`.
-LADDER_METHODS = ("hybrid", "measured", "analytic", "reference")
+LADDER_METHODS = ("hybrid", "analytic")
+
+#: The exact fix-up strides forward ``stream length // _FIXUP_GRID``
+#: coefficients at a time.
+_FIXUP_GRID = 192
 
 
 def build_ladder(
@@ -424,50 +419,41 @@ def build_ladder(
     error_bounds: list[float],
     metric: ErrorMetric = ErrorMetric.NRMSE,
     *,
-    search_grid: int = 24,
     method: str = "hybrid",
     original: np.ndarray | None = None,
 ) -> AccuracyLadder:
     """Construct an :class:`AccuracyLadder` realising each error bound.
 
-    ``method="hybrid"`` (default): the measured search below, but seeded —
-    the analytic residual-energy proxy brackets each rung's cut and a
-    galloping + binary search around the seed replaces the full-stream
-    binary search, cutting probe counts ~3–5×.  Probes are answered by
-    the incremental engine; the final cut is re-measured exactly, so the
-    achieved error is guaranteed and cuts match ``"measured"``.
+    For every bound (loosest first) the ladder cuts the stream where the
+    *measured* reconstruction error satisfies the bound.
 
-    ``method="measured"``: for every bound (loosest first) the minimal
-    stream cut whose *measured* reconstruction error satisfies the bound
-    is located by binary search over the sorted stream, followed by a
-    forward fix-up pass that guards against the rare non-monotonic step
-    (cross-level prolongation effects).  Probes run on the incremental
-    :class:`~repro.core.fastladder.LadderProbeEngine` (identical probe
-    sequence and cuts as the pre-engine slow path; probe errors agree to
-    ~1e-12 relative, and every rung's recorded error is exact).
+    ``method="hybrid"`` (default): the analytic residual-energy proxy
+    seeds each rung's cut, and a galloping + binary search around the
+    seed finds the minimal cut that satisfies the bound.  Probes are answered by the
+    incremental :class:`~repro.core.fastladder.LadderProbeEngine` (probe
+    errors agree with exact reconstruction to ~1e-12 relative); the
+    landing cut is re-measured exactly and a forward fix-up guards
+    against the rare non-monotonic step (cross-level prolongation
+    effects), so every recorded rung error is exact.
 
     ``method="analytic"``: cut positions come from the closed-form proxy
     ``error ≈ f(Σ dropped coefficient²)`` computed with one cumulative sum
-    over the stream — O(n) instead of O(n log n) reconstructions — after
-    which each rung's true error is measured once and a forward fix-up
-    enforces the bound.  This is the DESIGN.md ablation point: near-
-    identical cuts at a fraction of the construction cost on large data.
+    over the stream — no search probes — after which each rung's true
+    error is measured once and a forward fix-up enforces the bound.  This
+    is the DESIGN.md ablation point: near-identical cuts at a fraction of
+    the construction cost.
 
-    ``method="reference"``: the pre-engine slow path — every probe is a
-    full reconstruction + metric pass.  Kept as the ground truth for
-    parity tests and the BENCH_micro.json speedup baseline.
-
-    ``search_grid`` bounds the fix-up stride.  ``original`` optionally
-    supplies the uncompressed tensor the caller already holds, skipping
-    the :func:`~repro.core.refactor.recompose_full` pass (the recomposed
-    tensor reproduces it bit-for-bit; the hierarchy is exact).
+    ``original`` optionally supplies the uncompressed tensor the caller
+    already holds, skipping the :func:`~repro.core.refactor.recompose_full`
+    pass (the recomposed tensor reproduces it bit-for-bit; the hierarchy
+    is exact).
 
     Construction scratch — the sorted stream, the recomposed tensor, the
     probe engine, and exact per-cut errors — is cached on the
-    decomposition (:func:`_ladder_scratch`), because Fig. 11 and the
-    benchmarks rebuild ladders for the same decomposition under many
-    bound sets.  :func:`release_ladder_scratch` drops it once no further
-    build is coming.
+    decomposition (:func:`_ladder_scratch`), because Fig. 11 rebuilds
+    ladders for the same decomposition under many bound sets.
+    :func:`release_ladder_scratch` drops it once no further build is
+    coming.
     """
     if method not in LADDER_METHODS:
         raise ValueError(
@@ -485,10 +471,11 @@ def build_ladder(
     stream_levels, stream_positions, stream_values, level_offsets = scratch["stream"]
     original = scratch["original"]
     n = int(stream_values.size)
+    stride = max(1, n // _FIXUP_GRID)
 
-    # Exact (slow-path) error evaluator: full reconstruction + metric.
-    # Deduplicated per (metric, cut) — every recorded rung error comes
-    # from here, so results are bit-identical to the pre-engine path.
+    # Exact error evaluator: full reconstruction + metric.  Deduplicated
+    # per (metric, cut) — every recorded rung error comes from here, so
+    # results are bit-identical to a search that probes exactly.
     exact_cache: dict[tuple[ErrorMetric, int], float] = scratch["exact"]
 
     def exact_err(cut: int) -> float:
@@ -502,7 +489,7 @@ def build_ladder(
 
     base_error = exact_err(0)
 
-    if method in ("measured", "hybrid"):
+    if method == "hybrid":
         from repro.core.fastladder import LadderProbeEngine
 
         engine = scratch["engine"]
@@ -521,10 +508,6 @@ def build_ladder(
                 )
             return hit
     else:
-        probe_err = exact_err
-
-    analytic_cuts = None
-    if method == "analytic":
         analytic_cuts = _analytic_cuts(
             stream_values,
             dec.original_size,
@@ -537,7 +520,6 @@ def build_ladder(
     buckets: list[AugmentationBucket] = []
     prev_cut = 0
     for m, bound in enumerate(budget.bounds, start=1):
-        stride = max(1, n // (search_grid * 8))
         if metric.satisfied(base_error, bound) and prev_cut == 0:
             cut, err = 0, base_error
         elif method == "analytic":
@@ -545,7 +527,7 @@ def build_ladder(
             cut, err = _fixup(
                 exact_err, metric, bound, max(prev_cut, analytic_cuts[m - 1]), n, stride
             )
-        elif method == "hybrid":
+        else:
             seed = _refined_seed(
                 engine,
                 metric,
@@ -565,10 +547,6 @@ def build_ladder(
                 hi=n,
                 stride=stride,
                 seed=seed,
-            )
-        else:
-            cut, err = _search_cut(
-                probe_err, exact_err, metric, bound, lo=prev_cut, hi=n, stride=stride
             )
         finest = int(stream_levels[cut - 1]) if cut > 0 else dec.num_levels - 1
         buckets.append(
@@ -592,7 +570,6 @@ def build_ladder(
         level_offsets=level_offsets,
         buckets=buckets,
         base_error=base_error,
-        original=original,
     )
 
 
@@ -709,30 +686,6 @@ def _fixup(eval_fn, metric: ErrorMetric, bound: float, cut: int, hi: int, stride
     return cut, err
 
 
-def _search_cut(
-    probe_err, exact_err, metric: ErrorMetric, bound: float, *, lo: int, hi: int, stride: int
-) -> tuple[int, float]:
-    """Minimal cut in [lo, hi] whose measured error satisfies ``bound``.
-
-    ``probe_err`` answers search probes (the incremental engine, or the
-    exact evaluator for ``method="reference"``); ``exact_err`` measures
-    the landing cut and drives the non-monotonicity fix-up.
-    """
-    err_hi = exact_err(hi)
-    if not metric.satisfied(err_hi, bound):
-        # Even the full stream cannot satisfy the bound; clamp to full.
-        return hi, err_hi
-    a, b = lo, hi
-    while a < b:
-        mid = (a + b) // 2
-        if metric.satisfied(probe_err(mid), bound):
-            b = mid
-        else:
-            a = mid + 1
-    # Fix-up: binary search assumes monotonicity; stride forward if violated.
-    return _fixup(exact_err, metric, bound, a, hi, stride)
-
-
 def _search_cut_seeded(
     probe_err,
     exact_err,
@@ -744,9 +697,14 @@ def _search_cut_seeded(
     stride: int,
     seed: int,
 ) -> tuple[int, float]:
-    """Like :func:`_search_cut`, but brackets the answer by galloping
-    outward from ``seed`` (the analytic cut estimate) before the binary
-    search — O(log distance-to-seed) probes instead of O(log n)."""
+    """Minimal cut in [lo, hi] whose measured error satisfies ``bound``.
+
+    The answer is bracketed by galloping outward from ``seed`` (the
+    residual-energy cut estimate) before a binary search — O(log
+    distance-to-seed) probes instead of O(log n).  ``probe_err`` answers
+    the search probes; ``exact_err`` measures the landing cut and drives
+    the non-monotonicity fix-up.
+    """
     err_hi = exact_err(hi)
     if not metric.satisfied(err_hi, bound):
         return hi, err_hi

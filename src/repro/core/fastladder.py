@@ -1,9 +1,9 @@
 """Fast-path incremental reconstruction/error engine for ladder construction.
 
-``build_ladder``'s measured search probes dozens of stream cuts per rung;
-the slow path pays a full multi-level reconstruction plus an O(n) metric
-pass for every probe (~``b · log2(n)`` full passes per ladder).  This
-engine answers the same probes from maintained state instead:
+``build_ladder``'s search probes stream cuts per rung; an exact probe
+pays a full multi-level reconstruction plus an O(n) metric pass (a plain
+binary search makes ~``b · log2(n)`` full passes per ladder).  This
+engine answers the probes from maintained state instead:
 
 * **Per-level-offset boundary caching** — the partial reconstruction at
   every ``level_offsets[order]`` boundary (all coarser stream segments
@@ -31,10 +31,11 @@ Coefficients of the finest stream level scatter directly (stencil of 1).
 
 Numerical contract: probe SSEs agree with the exact slow path to ~1e-12
 relative — the *order* of floating-point operations differs, nothing
-else.  ``build_ladder`` therefore drives its searches with engine
-probes but re-measures the final cut of every rung with the exact path,
-and tests/test_fastladder.py pins bucket cuts identical to the
-pre-engine slow path across shapes, strides, transforms, and metrics.
+else.  ``build_ladder`` therefore drives its search with engine probes
+but re-measures the final cut of every rung with the exact path, and
+tests/test_fastladder.py pins bucket cuts identical to the pre-engine
+exact search (``tests/ladder_oracle.py``) across shapes, strides,
+transforms, and metrics.
 """
 
 from __future__ import annotations

@@ -61,7 +61,6 @@ def _key(
     metric: ErrorMetric,
     error_bounds: tuple[float, ...],
     seed: int,
-    method: str,
 ) -> tuple:
     # The generated field depends on the app *class* (generate ignores
     # constructor tuning, which only affects analyze()), so the class is
@@ -74,7 +73,6 @@ def _key(
         metric,
         tuple(error_bounds),
         int(seed),
-        method,
     )
 
 
@@ -86,17 +84,14 @@ def ladder_for_app(
     metric: ErrorMetric,
     error_bounds: tuple[float, ...],
     seed: int,
-    method: str = "hybrid",
 ) -> tuple[np.ndarray, AccuracyLadder]:
     """Generate the app's field, decompose it, and build its ladder — memoized.
 
-    ``method`` selects the ladder search strategy (see
-    :func:`repro.core.error_control.build_ladder`) and is part of the
-    cache key.  The generated field is handed to ``build_ladder`` as the
-    reference ``original`` so construction skips its own recompose pass.
+    The generated field is handed to ``build_ladder`` as the reference
+    ``original`` so construction skips its own recompose pass.
     """
     global _hits, _misses
-    key = _key(app, grid_shape, decimation_ratio, metric, error_bounds, seed, method)
+    key = _key(app, grid_shape, decimation_ratio, metric, error_bounds, seed)
     with _lock:
         hit = _cache.get(key)
         if hit is not None:
@@ -108,7 +103,7 @@ def ladder_for_app(
     data.setflags(write=False)
     levels = levels_for_decimation(data.shape, decimation_ratio)
     dec = decompose(data, levels)
-    ladder = build_ladder(dec, list(error_bounds), metric, method=method, original=data)
+    ladder = build_ladder(dec, list(error_bounds), metric, original=data)
     # One ladder per decomposition: nothing rebuilds from this one, so
     # the entry keeps only what the ladder reads.
     release_ladder_scratch(dec)

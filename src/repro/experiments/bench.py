@@ -9,16 +9,22 @@ be compared without a pytest session.  Drive it via
 ``benchmarks/run_bench.py`` or ``repro bench``; CI regenerates the report
 as a non-blocking artifact.
 
-Two ladder timings matter for the incremental-construction work:
+Ladder rows time the default construction two ways:
 
-* ``build_ladder_reference_nocache`` — ``method="reference"`` with the
-  decomposition's scratch cache deleted before every iteration.  Every
-  probe re-runs a full reconstruction + metric pass, which is exactly the
-  pre-fastladder cost model; this is the regression baseline.
-* ``build_ladder_hybrid`` — the default method in its steady state
-  (scratch retained across calls, the pattern sweeps and the memo
-  produce).  ``derived.ladder_speedup_default_vs_reference`` is the ratio
-  of the two medians and is expected to stay ≥ 5.
+* ``build_ladder_hybrid_coldcache`` — the decomposition's scratch is
+  released before every iteration, so each build sorts the stream and
+  sets up the probe engine.  This is the cost on the user path: the
+  engine memo builds one ladder per decomposition.
+* ``build_ladder_hybrid`` — scratch retained across calls, the pattern
+  Fig. 11 produces when it rebuilds one decomposition under several
+  bound sets.
+
+``build_ladder_analytic`` times the ablation method.  (Schema 1's
+``build_ladder_reference_nocache`` and ``build_ladder_measured`` rows,
+the ``ladder_speedup_*`` ratios and the ``speedup_target`` floor were
+retired when those searches left the library: the exact-probe search is
+a test oracle now, and the floor is an enforced count of exact
+reconstructions in ``tests/test_fastladder.py``.)
 
 Scenario-level benchmarks (schema ≥ 2) time the discrete-event substrate
 itself rather than the ladder math:
@@ -99,10 +105,6 @@ __all__ = ["BENCH_FILENAME", "SCHEMA_VERSION", "run_microbench", "write_report",
 
 BENCH_FILENAME = "BENCH_micro.json"
 SCHEMA_VERSION = 6
-
-#: Median speedup of the default ladder method over the pre-fastladder
-#: cost model that the perf work is pinned to (see module docstring).
-SPEEDUP_TARGET = 5.0
 
 #: CPUs needed before the 8-shard cluster scaling ratio means anything.
 CLUSTER_SCALING_MIN_CPUS = 8
@@ -402,21 +404,11 @@ def run_microbench(
         ("decompose", lambda: decompose(field, levels), None),
         ("recompose_full", lambda: recompose_full(dec), None),
         (
-            "build_ladder_reference_nocache",
-            lambda: build_ladder(dec, bounds, metric, method="reference"),
-            lambda: release_ladder_scratch(dec),
-        ),
-        (
             "build_ladder_hybrid_coldcache",
             lambda: build_ladder(dec, bounds, metric),
             lambda: release_ladder_scratch(dec),
         ),
         ("build_ladder_hybrid", lambda: build_ladder(dec, bounds, metric), None),
-        (
-            "build_ladder_measured",
-            lambda: build_ladder(dec, bounds, metric, method="measured"),
-            None,
-        ),
         (
             "build_ladder_analytic",
             lambda: build_ladder(dec, bounds, metric, method="analytic"),
@@ -522,16 +514,7 @@ def run_microbench(
         if progress is not None:
             progress(name, row)
 
-    reference = results["build_ladder_reference_nocache"]["median_s"]
-    default = results["build_ladder_hybrid"]["median_s"]
-    cold = results["build_ladder_hybrid_coldcache"]["median_s"]
-    derived = {
-        "ladder_speedup_default_vs_reference": reference / default if default > 0 else None,
-        "ladder_speedup_coldcache_vs_reference": reference / cold if cold > 0 else None,
-        "speedup_target": SPEEDUP_TARGET,
-        "meets_speedup_target": default > 0 and reference / default >= SPEEDUP_TARGET,
-    }
-    derived.update(_cluster_scaling(results))
+    derived = _cluster_scaling(results)
 
     root = repo_root()
     return {

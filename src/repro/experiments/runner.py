@@ -14,8 +14,7 @@ import numpy as np
 
 from repro.apps.base import AnalyticsApp
 from repro.control import BaseController
-from repro.core.error_control import AccuracyLadder, ErrorMetric
-from repro.engine.memo import ladder_for_app
+from repro.core.error_control import AccuracyLadder
 from repro.engine.session import ScenarioSession
 from repro.experiments.config import ScenarioConfig
 from repro.obs import OBS
@@ -23,38 +22,7 @@ from repro.storage.staging import StagedDataset
 from repro.storage.stats import DeviceSample, DeviceSampler
 from repro.workloads.analytics import StepRecord
 
-__all__ = [
-    "ScenarioResult",
-    "run_scenario",
-    "build_ladder_for_app",
-]
-
-
-def build_ladder_for_app(
-    app: AnalyticsApp,
-    *,
-    grid_shape: tuple[int, int],
-    decimation_ratio: int,
-    metric: ErrorMetric,
-    error_bounds: tuple[float, ...],
-    seed: int,
-    method: str = "hybrid",
-) -> tuple[np.ndarray, AccuracyLadder]:
-    """Generate the app's field, decompose it, and build its ladder.
-
-    Memoized via :func:`repro.engine.memo.ladder_for_app`: sweeps that
-    revisit the same (app, shape, ratio, metric, error_bounds, seed,
-    method) point skip the decomposition entirely.
-    """
-    return ladder_for_app(
-        app,
-        grid_shape=grid_shape,
-        decimation_ratio=decimation_ratio,
-        metric=metric,
-        error_bounds=error_bounds,
-        seed=seed,
-        method=method,
-    )
+__all__ = ["ScenarioResult", "run_scenario"]
 
 
 @dataclass

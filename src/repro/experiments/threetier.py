@@ -20,7 +20,8 @@ import numpy as np
 
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
-from repro.experiments.runner import build_ladder_for_app, run_scenario
+from repro.engine.memo import ladder_for_app
+from repro.experiments.runner import run_scenario
 from repro.apps import make_app
 from repro.storage.device import DEVICE_PRESETS, DeviceSpec
 from repro.storage.tier import TieredStorage
@@ -117,7 +118,7 @@ def run_threetier(
     )
     # Size the tiers from the actual ladder (scaled bytes).
     probe_app = make_app(app)
-    _, ladder = build_ladder_for_app(
+    _, ladder = ladder_for_app(
         probe_app,
         grid_shape=cfg0.grid_shape,
         decimation_ratio=cfg0.decimation_ratio,

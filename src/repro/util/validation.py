@@ -1,16 +1,14 @@
 """Argument-validation helpers with consistent error messages.
 
-Also home to the repo's deprecation machinery:
-:class:`ReproDeprecationWarning` (a :class:`DeprecationWarning` subclass
-the test suite escalates to an error, so internal code can never ship on
-a shimmed path) and the :func:`warn_deprecated` helper the ``repro.api``
-migration shims are built from.
+Also home to :class:`ReproDeprecationWarning`, the category the
+``repro.api`` deprecation policy warns with (a :class:`DeprecationWarning`
+subclass the test suite escalates to an error, so internal code can never
+ship on a shimmed path).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 __all__ = [
     "check_positive",
@@ -18,7 +16,6 @@ __all__ = [
     "check_in_range",
     "check_probability",
     "ReproDeprecationWarning",
-    "warn_deprecated",
 ]
 
 
@@ -29,11 +26,6 @@ class ReproDeprecationWarning(DeprecationWarning):
     into errors (``filterwarnings`` in ``pyproject.toml``) without
     tripping on third-party DeprecationWarnings.
     """
-
-
-def warn_deprecated(message: str, *, stacklevel: int = 3) -> None:
-    """Emit a :class:`ReproDeprecationWarning` pointing at the caller."""
-    warnings.warn(message, ReproDeprecationWarning, stacklevel=stacklevel)
 
 
 def check_positive(name: str, value: float) -> float:

@@ -107,13 +107,17 @@ def _removed_spellings():
     """Each old spelling whose one-release deprecation window has passed,
     as (call, exception it now raises)."""
     import repro.experiments.runner as runner
+    from repro.control import TangoController
     from repro.core.abplot import AugmentationBandwidthPlot
     from repro.core.error_control import ErrorMetric, build_ladder
+    from repro.engine import memo
     from repro.experiments.campaign import CampaignConfig
     from repro.experiments.config import ScenarioConfig
 
-    # The build_ladder calls fail while binding arguments, before the
-    # (absent) decomposition or app is ever touched.
+    # The build_ladder, ladder_for_app and TangoController calls fail
+    # while binding arguments, before the (absent) decomposition, app or
+    # ladder is ever touched.
+    app_args = dict(grid_shape=(64, 64), decimation_ratio=4, metric=ErrorMetric.NRMSE, seed=0)
     return {
         "scenario_config_ladder_bounds_keyword": (
             lambda: ScenarioConfig(ladder_bounds=(0.1, 0.01)), TypeError
@@ -132,14 +136,21 @@ def _removed_spellings():
             TypeError,
         ),
         "build_ladder_for_app_bounds_keyword": (
-            lambda: runner.build_ladder_for_app(
-                None,
-                grid_shape=(64, 64),
-                decimation_ratio=4,
-                metric=ErrorMetric.NRMSE,
-                bounds=(0.1, 0.01),
-                seed=0,
+            lambda: memo.ladder_for_app(None, bounds=(0.1, 0.01), **app_args),
+            TypeError,
+        ),
+        "ladder_for_app_method_keyword": (
+            lambda: memo.ladder_for_app(
+                None, error_bounds=(0.1, 0.01), method="hybrid", **app_args
             ),
+            TypeError,
+        ),
+        "tango_controller_legacy_keywords": (
+            lambda: TangoController(None, None, None, prescribed_bound=0.01, priority=5.0),
+            TypeError,
+        ),
+        "tango_controller_legacy_positionals": (
+            lambda: TangoController(None, None, None, 0.01, 2.0),
             TypeError,
         ),
         "abplot_positional": (lambda: AugmentationBandwidthPlot(1.0, 2.0), TypeError),
@@ -159,9 +170,9 @@ class TestRemovedShims:
 
 
 class TestControllerConstructionShim:
-    """The legacy TangoController(..., prescribed_bound=...) signature
-    works for one release behind a deprecation warning; the config=
-    path is the canonical, silent spelling."""
+    """``config=`` is the only, silent spelling; the legacy
+    TangoController(..., prescribed_bound=...) signature is a removed
+    spelling (see ``_removed_spellings``)."""
 
     def _parts(self):
         from repro.apps import make_app
@@ -180,28 +191,6 @@ class TestControllerConstructionShim:
         abplot = AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
         return ladder, make_policy("app-only", None), abplot
 
-    def test_legacy_kwargs_warn_and_map(self):
-        from repro.control import TangoController
-
-        ladder, policy, abplot = self._parts()
-        with pytest.warns(ReproDeprecationWarning, match="ControllerConfig"):
-            ctrl = TangoController(
-                ladder, policy, abplot, prescribed_bound=0.01, priority=5.0
-            )
-        assert ctrl.config.prescribed_bound == 0.01
-        assert ctrl.config.priority == 5.0
-
-    def test_legacy_positionals_warn_and_map(self):
-        from repro.control import TangoController
-        from repro.core.estimator import MeanEstimator
-
-        ladder, policy, abplot = self._parts()
-        with pytest.warns(ReproDeprecationWarning, match="ControllerConfig"):
-            ctrl = TangoController(ladder, policy, abplot, 0.01, 2.0, MeanEstimator())
-        assert ctrl.config.prescribed_bound == 0.01
-        assert ctrl.config.priority == 2.0
-        assert isinstance(ctrl.estimator, MeanEstimator)
-
     def test_config_path_is_silent(self):
         from repro.control import ControllerConfig, TangoController
 
@@ -217,15 +206,13 @@ class TestControllerConstructionShim:
 
         ladder, policy, abplot = self._parts()
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                TangoController(
-                    ladder,
-                    policy,
-                    abplot,
-                    prescribed_bound=0.02,
-                    config=ControllerConfig(prescribed_bound=0.01),
-                )
+            TangoController(
+                ladder,
+                policy,
+                abplot,
+                prescribed_bound=0.02,
+                config=ControllerConfig(prescribed_bound=0.01),
+            )
 
     def test_neither_config_nor_legacy_rejected(self):
         from repro.control import TangoController
@@ -239,9 +226,7 @@ class TestControllerConstructionShim:
 
         ladder, policy, abplot = self._parts()
         with pytest.raises(TypeError):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                TangoController(ladder, policy, abplot, prescribed_bound=0.01, gain=2.0)
+            TangoController(ladder, policy, abplot, prescribed_bound=0.01, gain=2.0)
 
     def test_controller_surface_on_facade(self):
         import repro.api as api

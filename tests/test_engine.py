@@ -200,28 +200,6 @@ class TestMemoCache:
         memo.clear_cache()
         assert memo.cache_info() == {"hits": 0, "misses": 0, "size": 0}
 
-    def test_method_is_part_of_the_key(self):
-        from repro.apps import make_app
-
-        memo.clear_cache()
-        app = make_app("xgc")
-        kwargs = dict(
-            grid_shape=(64, 64),
-            decimation_ratio=4,
-            metric=ScenarioConfig(max_steps=1).metric,
-            error_bounds=(0.1, 0.01),
-            seed=7,
-        )
-        _, default = memo.ladder_for_app(app, **kwargs)
-        _, hybrid = memo.ladder_for_app(app, method="hybrid", **kwargs)
-        assert default is hybrid  # "hybrid" IS the default — same entry
-        assert memo.cache_info() == {"hits": 1, "misses": 1, "size": 1}
-
-        _, analytic = memo.ladder_for_app(app, method="analytic", **kwargs)
-        assert analytic is not default
-        assert memo.cache_info()["misses"] == 2
-        memo.clear_cache()
-
     def test_cached_field_is_read_only(self):
         from repro.apps import make_app
 

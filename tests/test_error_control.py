@@ -195,9 +195,10 @@ class TestAnalyticMethod:
             assert ladder.metric.satisfied(b.achieved_error, b.bound)
 
     def test_cuts_close_to_measured(self, smooth_field):
+        # The default build's cuts are the measured minimal cuts.
         dec = decompose(smooth_field, 4)
         bounds = [0.1, 0.01, 0.001]
-        measured = build_ladder(dec, bounds, ErrorMetric.NRMSE, method="measured")
+        measured = build_ladder(dec, bounds, ErrorMetric.NRMSE)
         analytic = build_ladder(dec, bounds, ErrorMetric.NRMSE, method="analytic")
         n = max(measured.stream_length, 1)
         for bm, ba in zip(measured.buckets, analytic.buckets):

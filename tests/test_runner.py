@@ -5,7 +5,8 @@ import pytest
 
 from repro.experiments.config import ScenarioConfig
 from repro.engine.session import make_weight_function
-from repro.experiments.runner import build_ladder_for_app, run_scenario
+from repro.engine.memo import ladder_for_app
+from repro.experiments.runner import run_scenario
 from repro.apps import make_app
 from repro.core.error_control import ErrorMetric
 from repro.workloads.noise import TABLE_IV_NOISE
@@ -46,7 +47,7 @@ class TestBuildLadder:
     def test_builds_for_each_app(self):
         for name in ("xgc", "genasis", "cfd"):
             app = make_app(name)
-            data, ladder = build_ladder_for_app(
+            data, ladder = ladder_for_app(
                 app,
                 grid_shape=(64, 64),
                 decimation_ratio=16,
