@@ -567,7 +567,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    from repro.cluster import ClusterConfig, run_cluster
+    from repro.cluster import ClusterConfig, make_shard_pool, run_cluster
 
     config = ClusterConfig(
         n_nodes=args.nodes,
@@ -578,7 +578,11 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=_parse_workers(args.workers),
     )
-    result = run_cluster(config)
+    pool = make_shard_pool(config)
+    try:
+        result = run_cluster(config, pool=pool)
+    finally:
+        pool.close()
     summary = {
         "arbitration": args.arbitration,
         "nodes": args.nodes,

@@ -70,9 +70,10 @@ class ClusterConfig:
     #: Utilisation below which a borrower starts returning tokens.
     return_watermark: float = 0.5
     # -- substrate passthrough -------------------------------------------
-    #: Worker processes for the shard pool: ``None``/1 → serial (every
-    #: shard in-process), ``"auto"`` → CPUs; always capped by
-    #: ``min(shards, REPRO_WORKERS)``.
+    #: Worker processes ``make_shard_pool(config)`` starts: ``None``/1 →
+    #: none (every shard in-process), ``"auto"`` → CPUs; always capped by
+    #: ``min(shards, REPRO_WORKERS)``.  ``run_cluster`` never starts them
+    #: itself: without ``pool=`` it runs every shard in-process.
     workers: int | str | None = None
     #: Collect per-round per-node rate snapshots (timelines + invariant
     #: checks; off for soak benchmarks).

@@ -1,11 +1,18 @@
 """The cluster kernel: bounded-lag rounds over a shard pool.
 
-:func:`run_cluster` is the one entry point: it builds a shard pool
-(serial in-process, or ``spawn`` workers via
-:func:`~repro.engine.sweep.resolve_workers` — always capped by the shard
-count and ``REPRO_WORKERS``), advances every shard in lockstep rounds,
-ferries bus traffic between boundaries, and folds the shard outcomes
-into one :class:`ClusterResult`.
+:func:`run_cluster` is the one entry point: it advances every shard in
+lockstep rounds on a shard pool, ferries bus traffic between
+boundaries, and folds the shard outcomes into one :class:`ClusterResult`.
+
+Where the shards run is the caller's choice.  Without ``pool=`` every
+shard runs in this process, whatever ``config.workers`` says:
+``run_cluster`` never starts worker processes itself.  ``spawn``
+workers cost roughly half a second before their first round, and on
+the shapes measured on a 2-vCPU host a fresh pool at best broke even
+(architecture §12).  A caller that wants workers builds them with
+:func:`~repro.cluster.pool.make_shard_pool` (sized by
+``config.workers``) and passes the pool in, which also lets
+back-to-back runs share one start-up.
 
 Determinism contract: the result — merged metrics, SLO board, node
 reports, the :meth:`ClusterResult.fingerprint` over all of it — is a
@@ -27,7 +34,6 @@ from repro.cluster.bus import Message
 from repro.cluster.config import ClusterConfig
 from repro.cluster.pool import make_shard_pool
 from repro.cluster.node import NodeReport
-from repro.engine.sweep import resolve_workers
 from repro.obs.metrics import Registry
 
 __all__ = ["ClusterResult", "run_cluster", "jain_index"]
@@ -54,7 +60,8 @@ class ClusterResult:
     """Everything a cluster run produced, merged in canonical order."""
 
     config: ClusterConfig
-    #: Worker processes the shards actually ran on (1 = serial).
+    #: Worker processes the shards ran on: the size of the pool passed
+    #: to :func:`run_cluster`, 1 (in-process) without one.
     workers: int
     #: Per-node outcomes, ascending node id.
     reports: tuple[NodeReport, ...]
@@ -151,18 +158,18 @@ class ClusterResult:
 def run_cluster(config: ClusterConfig, *, pool=None) -> ClusterResult:
     """Run one cluster scenario to completion; see the module docstring.
 
-    ``pool`` reuses a caller-owned shard pool (it is reset to ``config``
-    first and left open afterwards) so back-to-back runs — benchmark
-    repeats, policy sweeps over one topology — pay worker spawn once.
-    Without it a pool is created and torn down internally.
+    ``pool`` is a caller-owned shard pool — ``make_shard_pool(config)``
+    for ``config.workers`` processes.  It is reset to ``config`` first
+    and left open afterwards, so back-to-back runs (benchmark repeats,
+    policy sweeps over one topology) pay worker spawn once.  Without it
+    every shard runs in this process on a pool built and closed here.
     """
     external = pool is not None
     if external:
-        workers = pool.workers
         pool.reset(config)
     else:
-        workers = min(resolve_workers(config.workers), config.shards)
-        pool = make_shard_pool(config, workers)
+        pool = make_shard_pool(config, 1)
+    workers = pool.workers
     try:
         t0 = _time.perf_counter()
         pending: list[Message] = []

@@ -15,8 +15,15 @@ the identical code) but keeps dedicated workers connected by pipes:
   ``round_interval`` seconds, and gather returns the emitted traffic —
   the only per-round IPC, sized by bus chatter rather than event count.
 
-A worker failure surfaces as a :class:`ShardWorkerError` carrying the
-remote traceback; the pool then tears everything down.
+A worker failure surfaces as a :class:`ShardWorkerError` — carrying the
+remote traceback when the worker raised, naming the pipe error when it
+died — and the pool tears every worker down before raising, including
+when a worker dies before the pool finished starting.
+
+:func:`make_shard_pool` sizes a pool from ``config.workers``.
+:func:`~repro.cluster.kernel.run_cluster` only ever builds the serial
+one itself; worker processes run a cluster only when a caller builds
+them and passes them in.
 """
 
 from __future__ import annotations
@@ -25,12 +32,13 @@ import multiprocessing as mp
 import traceback
 
 from repro.cluster.shard import ShardRuntime
+from repro.engine.sweep import resolve_workers
 
 __all__ = ["ShardPool", "SerialShardPool", "ShardWorkerError", "make_shard_pool"]
 
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker raised; the remote traceback is in the message."""
+    """A shard worker raised or died; the message says which and why."""
 
 
 def _worker_main(conn, config, shard_ids) -> None:
@@ -125,46 +133,56 @@ class ShardPool:
         self._conns = []
         self._procs = []
         self._shards_of = []
-        for shard_ids in assignment:
-            if not shard_ids:
-                continue
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main, args=(child, config, shard_ids), daemon=True
-            )
-            proc.start()
-            child.close()
-            self._conns.append(parent)
-            self._procs.append(proc)
-            self._shards_of.append(shard_ids)
-        for conn in self._conns:
-            self._recv(conn)
-
-    def _recv(self, conn):
-        status, payload = conn.recv()
-        if status != "ok":
+        try:
+            for shard_ids in assignment:
+                if not shard_ids:
+                    continue
+                parent, child = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker_main, args=(child, config, shard_ids), daemon=True
+                )
+                proc.start()
+                child.close()
+                self._conns.append(parent)
+                self._procs.append(proc)
+                self._shards_of.append(shard_ids)
+            self._exchange(())  # every worker's ready message
+        except BaseException:
             self.close()
-            raise ShardWorkerError(f"shard worker failed:\n{payload}")
-        return payload
+            raise
+
+    def _exchange(self, requests) -> dict:
+        """Send ``requests[i]`` to worker ``i``, then gather every
+        worker's reply payload into one dict.
+
+        Scatter-then-gather lets all workers compute concurrently.  A
+        worker that raised, or whose pipe broke because it died, closes
+        the pool and raises :class:`ShardWorkerError`.
+        """
+        out: dict = {}
+        try:
+            for conn, request in zip(self._conns, requests):
+                conn.send(request)
+            for conn in self._conns:
+                status, payload = conn.recv()
+                if status != "ok":
+                    self.close()
+                    raise ShardWorkerError(f"shard worker failed:\n{payload}")
+                if payload:
+                    out.update(payload)
+        except (EOFError, ConnectionError) as exc:
+            self.close()
+            raise ShardWorkerError(f"shard worker died: {exc!r}") from exc
+        return out
 
     def round(self, round_idx: int, per_shard: dict) -> dict:
-        # Scatter each worker's slice first, then gather: all workers
-        # compute their rounds concurrently between the two loops.
-        for conn, shard_ids in zip(self._conns, self._shards_of):
-            mine = {sid: per_shard[sid] for sid in shard_ids if sid in per_shard}
-            conn.send(("round", (round_idx, mine)))
-        out: dict = {}
-        for conn in self._conns:
-            out.update(self._recv(conn))
-        return out
+        return self._exchange([
+            ("round", (round_idx, {sid: per_shard[sid] for sid in ids if sid in per_shard}))
+            for ids in self._shards_of
+        ])
 
     def finalize(self) -> dict:
-        for conn in self._conns:
-            conn.send(("finalize", None))
-        out: dict = {}
-        for conn in self._conns:
-            out.update(self._recv(conn))
-        return out
+        return self._exchange([("finalize", None)] * len(self._conns))
 
     def reset(self, config) -> None:
         """Rebuild every worker's shard runtimes for a fresh run."""
@@ -172,10 +190,7 @@ class ShardPool:
             raise ValueError(
                 f"pool hosts {self._shards} shards, config wants {config.shards}"
             )
-        for conn in self._conns:
-            conn.send(("reset", config))
-        for conn in self._conns:
-            self._recv(conn)
+        self._exchange([("reset", config)] * len(self._conns))
 
     def close(self) -> None:
         conns, self._conns = self._conns, []
@@ -193,8 +208,16 @@ class ShardPool:
                 proc.join()
 
 
-def make_shard_pool(config, workers: int):
-    """A pool sized for ``workers``: serial fallback at 1, processes above."""
+def make_shard_pool(config, workers: int | None = None):
+    """A pool for ``config``'s shards: serial fallback at 1, processes above.
+
+    ``workers`` defaults to ``config.workers`` sized by
+    :func:`~repro.engine.sweep.resolve_workers`; either way the shard
+    count caps it.
+    """
+    if workers is None:
+        workers = resolve_workers(config.workers)
+    workers = min(workers, config.shards)
     if workers <= 1:
         return SerialShardPool(config)
     return ShardPool(config, workers)

@@ -272,11 +272,9 @@ def _run_cluster_soak(shards: int, repeats: int) -> list[tuple[float, int, float
     are the aggregate over all shards.
     """
     from repro.cluster import make_shard_pool, run_cluster
-    from repro.engine.sweep import resolve_workers
 
     config = _cluster_soak_config(shards)
-    workers = min(resolve_workers(config.workers), config.shards)
-    pool = make_shard_pool(config, workers)
+    pool = make_shard_pool(config)
     try:
         rows = []
         for i in range(1 + repeats):  # first run is a discarded warmup

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cluster import ClusterConfig, ClusterResult, run_cluster
+from repro.cluster import ClusterConfig, ClusterResult, make_shard_pool, run_cluster
 from repro.experiments.report import format_table
 
 __all__ = [
@@ -104,7 +104,11 @@ def run_cluster_compare(
     workers: int | str | None = None,
     policies: tuple = COMPARED_POLICIES,
 ) -> ClusterCompareResult:
-    """Run the same seeded cluster once per arbitration policy."""
+    """Run the same seeded cluster once per arbitration policy.
+
+    Every policy runs on one shard pool of ``workers`` processes
+    (in-process at ``None``/1), so workers start once per comparison.
+    """
     base = ClusterConfig(
         n_nodes=n_nodes,
         shards=shards,
@@ -121,10 +125,14 @@ def run_cluster_compare(
         workers=0,
         seed=seed,
     )
-    for policy in policies:
-        result = run_cluster(base.with_(arbitration=policy))
-        out.workers = result.workers
-        out.rows.append(_score(result))
+    pool = make_shard_pool(base)  # one start-up serves every policy
+    try:
+        for policy in policies:
+            result = run_cluster(base.with_(arbitration=policy), pool=pool)
+            out.workers = result.workers
+            out.rows.append(_score(result))
+    finally:
+        pool.close()
     return out
 
 

@@ -40,6 +40,10 @@ class EventAlreadyTriggered(RuntimeError):
 class ScheduledCallback:
     """A heap entry: callback at a simulated time, cancellable in O(1).
 
+    The heap orders entries by the ``(time, seq)`` key it stores beside
+    them, so entries themselves are never compared; ``seq`` breaks ties
+    FIFO within a timestamp, which keeps runs deterministic.
+
     Cancellation marks the entry; the event loop skips cancelled entries
     when they surface, avoiding O(n) heap surgery.  The owning simulation
     keeps an O(1) live-entry counter, so cancellation notifies it exactly
@@ -70,10 +74,6 @@ class ScheduledCallback:
         self.cancelled = True
         if self._sim is not None:
             self._sim._note_cancel(self)
-
-    def __lt__(self, other: "ScheduledCallback") -> bool:
-        # FIFO within identical timestamps keeps runs deterministic.
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = " cancelled" if self.cancelled else ""

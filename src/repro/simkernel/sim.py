@@ -1,8 +1,10 @@
 """The event loop: epoch-batched execution over a binary heap.
 
-A ``heapq`` future-event list is drained **one epoch at a time**: every
-live entry sharing the minimum timestamp is popped into a flat ready
-batch and dispatched in one pass.  Same-timestamp traffic — coalesced
+A ``heapq`` future-event list of ``(time, seq, entry)`` tuples is
+drained **one epoch at a time**: every live entry sharing the minimum
+timestamp is popped into a flat ready batch and dispatched in one pass.
+``seq`` is unique, so the heap's comparisons run as C tuple compares
+and never call back into Python.  Same-timestamp traffic — coalesced
 blkio reschedule flushes, process resumes, sampler ticks, retry timers —
 never touches the heap at all: a callback scheduling at the current
 instant appends straight to the draining batch.  Live entries execute in
@@ -123,8 +125,10 @@ class Simulation:
         # Epoch-batching state: ``_ready`` holds the current epoch's
         # batch, ``_ready_idx`` the next entry to dispatch,
         # ``_dispatching`` is True while a callback runs so
-        # schedule-at-now can append straight to the batch.
-        self._heap: list[ScheduledCallback] = []
+        # schedule-at-now can append straight to the batch.  Heap items
+        # are ``(time, seq, entry)``: ``seq`` is unique, so every heapq
+        # comparison is a C tuple compare that never reaches the entry.
+        self._heap: list[tuple[float, int, ScheduledCallback]] = []
         self._ready: list[ScheduledCallback] = []
         self._ready_idx = 0
         self._dispatching = False
@@ -156,13 +160,14 @@ class Simulation:
         # schedule_at's body, inlined: this is the hottest kernel entry
         # point (every process resume and device flush lands here).
         time = self.now + delay
-        entry = ScheduledCallback(time, self._seq, callback, args, self)
-        self._seq += 1
+        seq = self._seq
+        entry = ScheduledCallback(time, seq, callback, args, self)
+        self._seq = seq + 1
         self._live += 1
         if self._dispatching and time == self.now:
             self._ready.append(entry)
         else:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(self._heap, (time, seq, entry))
         return entry
 
     def schedule_at(
@@ -171,8 +176,9 @@ class Simulation:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise SimError(f"cannot schedule at {time} < now ({self.now})")
-        entry = ScheduledCallback(time, self._seq, callback, args, self)
-        self._seq += 1
+        seq = self._seq
+        entry = ScheduledCallback(time, seq, callback, args, self)
+        self._seq = seq + 1
         self._live += 1
         if self._dispatching and time == self.now:
             # Epoch fast path: a same-timestamp schedule joins the batch
@@ -180,7 +186,7 @@ class Simulation:
             # append order IS execution order) — no heap traffic at all.
             self._ready.append(entry)
         else:
-            heapq.heappush(self._heap, entry)
+            heapq.heappush(self._heap, (time, seq, entry))
         return entry
 
     def event(self) -> Event:
@@ -222,7 +228,7 @@ class Simulation:
         """
         self._compactions += 1
         heap = self._heap
-        live = [e for e in heap if not e.cancelled]
+        live = [item for item in heap if not item[2].cancelled]
         self._discards += len(heap) - len(live)
         heapq.heapify(live)
         self._heap = live
@@ -320,10 +326,10 @@ class Simulation:
         self._peek_skip = i
         self._peek_scans += scans
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._discards += 1
-        return heap[0].time if heap else float("inf")
+        return heap[0][0] if heap else float("inf")
 
     # -- running -----------------------------------------------------------
 
@@ -362,18 +368,18 @@ class Simulation:
         past ``until``.
         """
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
             self._discards += 1
         if not heap:
             return False
-        t = heap[0].time
+        t = heap[0][0]
         if until is not None and t > until:
             return False
         ready = self._ready
-        ready.append(heapq.heappop(heap))
-        while heap and heap[0].time == t:
-            e = heapq.heappop(heap)
+        ready.append(heapq.heappop(heap)[2])
+        while heap and heap[0][0] == t:
+            e = heapq.heappop(heap)[2]
             if e.cancelled:
                 self._discards += 1
             else:

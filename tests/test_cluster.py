@@ -1,11 +1,13 @@
 """Tests for repro.cluster: bus, config, arbitration, pool, kernel.
 
-Everything here runs serial (``workers=None`` → in-process shards) and
-small — the determinism-vs-worker-count property tests, which do spawn
-processes, live in ``test_cluster_guard.py``.
+Almost everything here runs serial (``workers=None`` → in-process
+shards) and small; a few pool tests spawn two real workers.  The
+determinism-vs-worker-count property tests live in
+``test_cluster_guard.py``.
 """
 
 import math
+import multiprocessing as mp
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.cluster import (
     Outbox,
     SerialShardPool,
     ShardPool,
+    ShardWorkerError,
     ArbitrationPolicy,
     jain_index,
     make_shard_pool,
@@ -24,7 +27,9 @@ from repro.cluster import (
     route,
     run_cluster,
 )
+from repro.cluster import pool as shard_pool
 from repro.engine.session import ScenarioSession
+from repro.experiments import cluster as cluster_experiment
 from repro.experiments.cluster import run_cluster_compare
 
 
@@ -211,6 +216,17 @@ class TestRunClusterSerial:
         res = ScenarioSession.run_cluster(_tiny(rounds=3))
         assert res.events_executed > 0
 
+    def test_workers_without_a_pool_stay_in_process(self, monkeypatch):
+        # ``config.workers`` sizes make_shard_pool(config); run_cluster
+        # on its own never starts a worker process.
+        def no_workers(*args, **kwargs):
+            raise AssertionError("run_cluster started shard workers")
+
+        monkeypatch.setattr(shard_pool, "ShardPool", no_workers)
+        res = run_cluster(_tiny(workers=2))
+        assert res.workers == 1
+        assert res.fingerprint() == run_cluster(_tiny()).fingerprint()
+
 
 class TestShardPools:
     def test_factory_picks_serial_at_one(self):
@@ -221,6 +237,21 @@ class TestShardPools:
             assert pool.workers == 1
         finally:
             pool.close()
+
+    def test_factory_sizes_from_config_capped_by_shards(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        assert isinstance(make_shard_pool(_tiny()), SerialShardPool)
+        cfg = _tiny(workers=8)
+        pool = make_shard_pool(cfg)
+        try:
+            assert isinstance(pool, ShardPool)
+            assert pool.workers == cfg.shards
+            res = run_cluster(cfg, pool=pool)
+            assert res.workers == cfg.shards
+            assert res.fingerprint() == run_cluster(_tiny()).fingerprint()
+        finally:
+            pool.close()
+        assert mp.active_children() == []
 
     def test_serial_reset_rejects_shard_mismatch(self):
         pool = SerialShardPool(_tiny())
@@ -254,6 +285,18 @@ class TestShardPools:
         finally:
             pool.close()
 
+    def test_dead_worker_raises_and_tears_the_pool_down(self):
+        pool = ShardPool(_tiny(), 2)
+        try:
+            victim = pool._procs[0]
+            victim.kill()
+            victim.join(timeout=10)
+            with pytest.raises(ShardWorkerError, match="died"):
+                pool.round(0, {})
+            assert mp.active_children() == []
+        finally:
+            pool.close()
+
 
 class TestClusterCompare:
     def test_compare_scores_both_policies(self):
@@ -272,3 +315,22 @@ class TestClusterCompare:
             assert row.conservation_error < 1e-9
         table = res.format_rows()
         assert "centralized" in table and "adaptbf" in table
+
+    def test_compare_runs_every_policy_on_one_pool(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        sizes = []
+        real = cluster_experiment.make_shard_pool
+
+        def recording(config, workers=None):
+            pool = real(config, workers)
+            sizes.append(pool.workers)
+            return pool
+
+        monkeypatch.setattr(cluster_experiment, "make_shard_pool", recording)
+        shape = dict(n_nodes=8, shards=2, tenants_per_node=2, rounds=4, seed=1)
+        pooled = run_cluster_compare(workers=2, **shape)
+        serial = run_cluster_compare(workers=1, **shape)
+        assert sizes == [2, 1]
+        assert (pooled.workers, serial.workers) == (2, 1)
+        assert pooled.rows == serial.rows
+        assert mp.active_children() == []

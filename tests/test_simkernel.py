@@ -1,5 +1,6 @@
 """Tests for repro.simkernel — the discrete-event engine."""
 
+import random
 import warnings
 
 import pytest
@@ -129,6 +130,51 @@ class TestEpochOrdering:
         sim.run()
         assert order == ["first", "second", "chained"]
         assert sim.epochs_executed == 1
+
+    def test_random_churn_runs_live_entries_in_time_seq_order(self, sim):
+        """Seeded churn: duplicate timestamps, nested same-instant
+        schedules, cancels past the compaction trigger, ``peek`` inside
+        and between drains, and ``run(until=)`` landing both on and
+        between timestamps.  Exactly the never-cancelled entries run, in
+        ``(time, seq)`` order."""
+        rng = random.Random(17)
+        handles = []
+        executed = []
+
+        def next_live_time():
+            live = [h for h in handles if not (h.cancelled or h.executed)]
+            return min((h.time, h.seq) for h in live)[0] if live else float("inf")
+
+        def add(delay):
+            handles.append(sim.schedule(delay, fire, len(handles)))
+
+        def fire(i):
+            executed.append(handles[i])
+            if len(handles) < 1500:
+                roll = rng.random()
+                if roll < 0.3:
+                    add(0.0)  # joins the epoch being drained
+                elif roll < 0.5:
+                    add(rng.randrange(8) * 0.25)
+            if rng.random() < 0.3:
+                rng.choice(handles).cancel()  # a no-op once run or cancelled
+            if rng.random() < 0.1:
+                assert sim.peek() == next_live_time()
+
+        for _ in range(600):
+            add(rng.randrange(40) * 0.25)  # ~15 entries per timestamp
+        for h in rng.sample(handles, 400):
+            h.cancel()
+        assert sim.kernel_stats()["compactions"] >= 1
+        while sim.pending_count:
+            t = sim.peek()
+            assert t == next_live_time()
+            sim.run(until=t + rng.choice((0.0, 0.1, 0.25, 1.0)))
+
+        live = [h for h in handles if not h.cancelled]
+        assert executed == sorted(live, key=lambda h: (h.time, h.seq))
+        assert sim.events_executed == len(live)
+        assert sim._queue_len() == 0
 
     def test_kernel_stats_keys(self, sim):
         """Keys read by the benchmark's span tracer (``bench/spans.py``)."""
