@@ -100,10 +100,7 @@ def _fig15(fast: bool, workers=1):
 def _fig16(fast: bool, workers=1):
     from repro.experiments.fig16 import run_fig16
 
-    return run_fig16(
-        node_counts=(1, 2) if fast else (1, 2, 4),
-        parallel=(not fast) or workers not in (None, 1),
-    )
+    return run_fig16(node_counts=(1, 2) if fast else (1, 2, 4))
 
 
 def _headline(fast: bool, workers=1):
@@ -374,17 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument("--json", action="store_true", help="print a JSON summary")
 
-    bench = sub.add_parser(
-        "bench", help="run the microbenchmark suite and write BENCH_micro.json"
-    )
-    bench.add_argument(
-        "--output", metavar="PATH",
-        help="report path (default: <repo root>/BENCH_micro.json)",
-    )
-    bench.add_argument("--repeats", type=int, default=5, help="timed repeats per benchmark")
-    bench.add_argument("--grid", type=int, default=512, help="square grid edge length")
-    bench.add_argument("--levels", type=int, default=5, help="decomposition levels")
-
     sub.add_parser("tables", help="print the paper's survey tables")
     sub.add_parser("list", help="list regenerable artifacts")
     return parser
@@ -617,33 +603,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.experiments.bench import (
-        BENCH_FILENAME,
-        repo_root,
-        run_microbench,
-        write_report,
-    )
-
-    def progress(name: str, row: dict) -> None:
-        extra = ""
-        if "events_per_sec" in row:
-            extra = f"  ({row['events_per_sec']:,.0f} events/s)"
-        print(f"  {name:32s} median {row['median_s'] * 1e3:9.2f} ms{extra}")
-
-    print(f"microbench: {args.grid}x{args.grid}, {args.levels} levels, "
-          f"{args.repeats} repeats")
-    report = run_microbench(
-        repeats=args.repeats,
-        grid=(args.grid, args.grid),
-        levels=args.levels,
-        progress=progress,
-    )
-    path = write_report(report, args.output or repo_root() / BENCH_FILENAME)
-    print(f"report written to {path}", file=sys.stderr)
-    return 0
-
-
 def _cmd_tables(_args: argparse.Namespace) -> int:
     from repro.experiments.tables import table1_text, table2_text, table4_text
 
@@ -670,7 +629,6 @@ def main(argv: list[str] | None = None) -> int:
         "iobench": _cmd_iobench,
         "export": _cmd_export,
         "cluster": _cmd_cluster,
-        "bench": _cmd_bench,
         "tables": _cmd_tables,
         "list": _cmd_list,
     }

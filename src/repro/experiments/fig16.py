@@ -2,11 +2,11 @@
 
 Tango's recomposition is embarrassingly parallel: each node holds its own
 ephemeral storage and adapts independently, with no communication.  Weak
-scaling therefore runs one independent single-node scenario per node
-(through ``SweepExecutor``, in separate OS processes — mirroring the
-paper's 4-node Chameleon run — whenever the per-node work repays a
-process pool) and reports the mean I/O time across nodes — expected to
-stay flat.
+scaling therefore runs one independent single-node scenario per node and
+reports the mean I/O time across nodes.  Because nodes share nothing,
+every node count averages the same per-node runs, so the rows are flat
+by construction: the figure shows that Tango adds no cross-node term,
+not a measured parallel speed-up.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.sweep import SweepExecutor
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.report import format_table
 
@@ -23,7 +22,10 @@ __all__ = ["Fig16Result", "run_fig16", "run_node"]
 
 
 def run_node(args: tuple[int, int, int]) -> tuple[float, float]:
-    """Run one node's scenario; module-level so it pickles for mp.Pool."""
+    """Run one node's scenario from ``(node_index, seed, max_steps)``.
+
+    Returns the node's (mean, std) I/O time.
+    """
     node_index, seed, max_steps = args
     from repro.experiments.runner import run_scenario
 
@@ -68,36 +70,20 @@ def run_fig16(
     node_counts: tuple[int, ...] = (1, 2, 4),
     max_steps: int = 40,
     seed: int = 0,
-    parallel: bool = True,
 ) -> Fig16Result:
     """Weak scaling: per node count, average the per-node mean I/O times.
 
-    ``parallel=False`` runs nodes sequentially in-process (useful in
-    constrained test environments); results are identical because nodes
-    share no state.
-
-    Every node count evaluates the *same* set of per-node scenarios
-    (seeds ``seed … seed + max(node_counts) − 1``), executed in batches of
-    ``n`` concurrent nodes — the weak-scaling question is whether adding
-    nodes changes per-node I/O time, so the workload per node must be
-    held fixed.
+    The workload per node is held fixed: every node count averages the
+    same per-node scenarios (seeds ``seed … seed + max(node_counts) − 1``),
+    so each runs once, in-process, and every row is built from those
+    results.
     """
-    total = max(node_counts)
-    rows: list[Fig16Row] = []
-    for n in node_counts:
-        jobs = [(i, seed, max_steps) for i in range(total)]
-        executor = SweepExecutor(
-            workers=min(n, 4) if parallel and n > 1 else 1,
-            chunksize=max(1, total // n),
+    results = [run_node((i, seed, max_steps)) for i in range(max(node_counts))]
+    mean_io_time = float(np.mean([m for m, _ in results]))
+    std_io_time = float(np.mean([s for _, s in results]))
+    return Fig16Result(
+        rows=tuple(
+            Fig16Row(nodes=n, mean_io_time=mean_io_time, std_io_time=std_io_time)
+            for n in node_counts
         )
-        results = executor.map(run_node, jobs)
-        means = [m for m, _ in results]
-        stds = [s for _, s in results]
-        rows.append(
-            Fig16Row(
-                nodes=n,
-                mean_io_time=float(np.mean(means)),
-                std_io_time=float(np.mean(stds)),
-            )
-        )
-    return Fig16Result(rows=tuple(rows))
+    )

@@ -104,15 +104,17 @@ class TestRunnerModuleShim:
 
 
 def _removed_spellings():
-    """Each old spelling whose one-release deprecation window has passed,
-    as (call, exception it now raises)."""
+    """Each removed spelling (a shim whose one-release deprecation window
+    has passed, or a retired option), as (call, exception it now raises)."""
     import repro.experiments.runner as runner
+    from repro.cli import main as cli_main
     from repro.control import TangoController
     from repro.core.abplot import AugmentationBandwidthPlot
     from repro.core.error_control import ErrorMetric, build_ladder
     from repro.engine import memo
     from repro.experiments.campaign import CampaignConfig
     from repro.experiments.config import ScenarioConfig
+    from repro.experiments.fig16 import run_fig16
 
     # The build_ladder, ladder_for_app and TangoController calls fail
     # while binding arguments, before the (absent) decomposition, app or
@@ -155,6 +157,8 @@ def _removed_spellings():
         ),
         "abplot_positional": (lambda: AugmentationBandwidthPlot(1.0, 2.0), TypeError),
         "runner_make_weight_function": (lambda: runner.make_weight_function, AttributeError),
+        "run_fig16_parallel_keyword": (lambda: run_fig16(parallel=False), TypeError),
+        "cli_bench_subcommand": (lambda: cli_main(["bench"]), SystemExit),
     }
 
 

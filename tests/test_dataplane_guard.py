@@ -11,11 +11,19 @@ Two oracles, chosen for coverage of both regimes:
 * **fig07** (noise + analytics on the capacity tier, 12 steps): the
   scenario engine path, i.e. every submission goes through
   ``ScenarioSession``'s plane.
-* **stress16** (the ``experiments/bench.py`` blkio stress recipe at a
-  30 s horizon, on :class:`BlockDevice` and on the test-only
+* **stress16** (the blkio stress recipe ``_run_stress`` at 16 streams
+  and a 30 s horizon, on :class:`BlockDevice` and on the test-only
   :class:`~tests.blkio_oracle.ReferenceBlockDevice`): the raw device
   path, run twice — bare, and with a default plane attached — asserting
   the *same* fingerprint for both.
+
+Two larger device shapes pin the grouped-dispatch regime (architecture
+§1.2) with the same fingerprint payload:
+
+* **stress64** (the stress recipe at 64 streams, 40 s): the array
+  sync/solve path under weight churn.
+* **soak256** (``_run_soak``: 256 uniform-weight streams, 10 s, no
+  churn): hundreds of same-instant starts and completions per epoch.
 
 If a refactor legitimately changes behaviour these hashes move together
 with the ones in ``tests/test_engine.py`` and must be re-recorded in the
@@ -40,6 +48,9 @@ STRESS16_FAST_HASH = "5e37dea7b88537779c15e3006a1f41b4b743318e840d0a8d85c1a8ad46
 STRESS16_REFERENCE_HASH = (
     "91ad8ccf78999c2ca13521adbb896c538c4f94082a307565c50f43e2fbed557d"
 )
+# Recorded on commit f2fe524 (515 and 9,591 events).
+STRESS64_HASH = "5b70f2214b9e328c95859acf9f653685bf0c750067a27463548c89b020387f76"
+SOAK256_HASH = "047f05b183cccb60d07f36710a26806e2de4c43fb54274cb07d20fc620918d89"
 
 
 def _sha(payload: str) -> str:
@@ -57,15 +68,24 @@ def test_fig07_fingerprint_unchanged_by_dataplane():
     assert _sha(payload) == FIG07_SEED_HASH
 
 
-def _run_stress16(
+def _fingerprint(sim: Simulation, device: BlockDevice) -> str:
+    return _sha(json.dumps([sim.events_executed, sim.now, device.bytes_moved]))
+
+
+def _run_stress(
     device_cls: type[BlockDevice] = BlockDevice,
     *,
+    n_streams: int = 16,
     with_plane: bool = False,
     horizon: float = 30.0,
     sim_cls: type[Simulation] = Simulation,
 ) -> str:
-    """The bench stress recipe (16 streams + weight churn), fingerprinted."""
-    n_streams = 16
+    """The blkio stress recipe (n streams + weight churn), fingerprinted.
+
+    Perpetual mixed read/write workers resubmit multi-MiB requests on one
+    shared HDD while a churn process rewrites eight blkio weights every
+    250 ms.
+    """
     sim = sim_cls()
     device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-2t"])
     if with_plane:
@@ -97,34 +117,81 @@ def _run_stress16(
 
     sim.process(churn())
     sim.run(until=horizon)
-    return _sha(json.dumps([sim.events_executed, sim.now, device.bytes_moved]))
+    return _fingerprint(sim, device)
+
+
+def _run_soak(
+    device_cls: type[BlockDevice] = BlockDevice,
+    *,
+    sim_cls: type[Simulation] = Simulation,
+) -> str:
+    """The 256-stream soak, fingerprinted at a 10 s horizon.
+
+    Identical workers (weight 500, 1 MiB requests, 2:1 read/write, no
+    churn) hammer one shared SSD, so every epoch carries large groups of
+    same-instant starts and completions.
+    """
+    sim = sim_cls()
+    device = device_cls(sim, DEVICE_PRESETS["intel-ssd-400"])
+    groups = CgroupController()
+
+    def worker(cgroup, direction):
+        while True:
+            yield device.submit(cgroup, MiB, direction)
+
+    for i in range(256):
+        cgroup = groups.create(f"soak-{i}", weight=500)
+        sim.process(worker(cgroup, "read" if i % 3 else "write"))
+
+    sim.run(until=10.0)
+    return _fingerprint(sim, device)
 
 
 def test_stress16_fast_path_fingerprint():
-    assert _run_stress16() == STRESS16_FAST_HASH
+    assert _run_stress() == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_fingerprint():
-    assert _run_stress16(ReferenceBlockDevice) == STRESS16_REFERENCE_HASH
+    assert _run_stress(ReferenceBlockDevice) == STRESS16_REFERENCE_HASH
 
 
 def test_stress16_with_default_plane_is_bit_identical():
     """The strong form of zero overhead: attach a policy-free default
     plane to the stressed device and get the exact same fingerprint."""
-    assert _run_stress16(with_plane=True) == STRESS16_FAST_HASH
+    assert _run_stress(with_plane=True) == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_with_plane_is_bit_identical():
-    run = _run_stress16(ReferenceBlockDevice, with_plane=True)
+    run = _run_stress(ReferenceBlockDevice, with_plane=True)
     assert run == STRESS16_REFERENCE_HASH
 
 
 def test_stress16_scalar_dispatch_is_bit_identical():
     """The hashes were recorded under grouped dispatch; the per-entry
     scalar oracle must reproduce them exactly."""
-    assert _run_stress16(sim_cls=ScalarSimulation) == STRESS16_FAST_HASH
+    assert _run_stress(sim_cls=ScalarSimulation) == STRESS16_FAST_HASH
 
 
 def test_stress16_reference_scalar_dispatch_is_bit_identical():
-    run = _run_stress16(ReferenceBlockDevice, sim_cls=ScalarSimulation)
+    run = _run_stress(ReferenceBlockDevice, sim_cls=ScalarSimulation)
     assert run == STRESS16_REFERENCE_HASH
+
+
+def test_stress64_fingerprint():
+    assert _run_stress(n_streams=64, horizon=40.0) == STRESS64_HASH
+
+
+def test_stress64_scalar_dispatch_is_bit_identical():
+    assert _run_stress(n_streams=64, horizon=40.0, sim_cls=ScalarSimulation) == STRESS64_HASH
+
+
+def test_soak256_fingerprint():
+    assert _run_soak() == SOAK256_HASH
+
+
+def test_soak256_scalar_dispatch_is_bit_identical():
+    assert _run_soak(sim_cls=ScalarSimulation) == SOAK256_HASH
+
+
+def test_soak256_reference_device_is_bit_identical():
+    assert _run_soak(ReferenceBlockDevice) == SOAK256_HASH

@@ -187,10 +187,5 @@ class TestFig15:
 
 class TestFig16:
     def test_weak_scaling_flat(self):
-        res = run_fig16(node_counts=(1, 2), max_steps=8, parallel=False)
+        res = run_fig16(node_counts=(1, 2), max_steps=8)
         assert res.scaling_flatness() == pytest.approx(1.0)
-
-    def test_parallel_matches_sequential(self):
-        seq = run_fig16(node_counts=(2,), max_steps=5, parallel=False)
-        par = run_fig16(node_counts=(2,), max_steps=5, parallel=True)
-        assert seq.rows[0].mean_io_time == pytest.approx(par.rows[0].mean_io_time)
