@@ -28,6 +28,7 @@ corruption.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.control.config import ControllerConfig
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import AccuracyLadder
 from repro.core.estimator import BandwidthEstimator, DFTEstimator
-from repro.core.recompose import RecompositionPlan
+from repro.core.recompose import PlanTable, RecompositionPlan
 from repro.faults.degradation import (
     CONTROLLER_MODES,
     MODE_LAST_GOOD,
@@ -145,6 +146,9 @@ class BaseController:
         self.mode_history: list[tuple[int, str, str]] = []
         self.decisions: list[AdaptationDecision] = []
         self._obs_cache: tuple | None = None
+        #: The policy's plans for this ladder, bound and priority, built
+        #: at the first decision (see :meth:`decide`).
+        self._plans: PlanTable | None = None
 
     @property
     def mode(self) -> str:
@@ -171,7 +175,7 @@ class BaseController:
     # -- observation ----------------------------------------------------
 
     def _sample_valid(self, measured_bw: float) -> bool:
-        if not np.isfinite(measured_bw) or measured_bw < 0:
+        if not math.isfinite(measured_bw) or measured_bw < 0:
             return False
         assert self.degradation is not None
         return measured_bw <= self.degradation.outlier_factor * self.abplot.bw_high
@@ -186,7 +190,7 @@ class BaseController:
         never fed to the estimator — and drive the fallback ladder.
         """
         if self.degradation is None:
-            if not np.isfinite(measured_bw) or measured_bw < 0:
+            if not math.isfinite(measured_bw) or measured_bw < 0:
                 raise ValueError(
                     f"measured_bw must be finite and >= 0, got {measured_bw!r}"
                 )
@@ -216,7 +220,7 @@ class BaseController:
                 OBS.tracer.event(
                     "controller.invalid_sample",
                     step=step,
-                    measured_bw=None if not np.isfinite(measured_bw) else float(measured_bw),
+                    measured_bw=None if not math.isfinite(measured_bw) else float(measured_bw),
                     invalid_streak=self._invalid_streak,
                 )
 
@@ -343,7 +347,7 @@ class BaseController:
         """
         self._transition_mode(step, self._select_mode())
         mode = self._mode
-        adaptive_override: bool | None = None
+        adaptive = self.policy.app_adaptive
         if mode == MODE_NORMAL:
             predicted, fitted = self._plan_bandwidth(step)
             self._last_good_prediction = predicted
@@ -358,16 +362,16 @@ class BaseController:
             fitted = False
             predicted = 0.5 * (self.abplot.bw_low + self.abplot.bw_high)
             if mode == MODE_WEIGHTS_ONLY:
-                adaptive_override = False
+                adaptive = False
         self._steps_since_fit += 1
-        plan = self.policy.plan(
-            self.ladder,
-            self.prescribed_bound,
-            predicted,
-            self.abplot,
-            self.priority,
-            adaptive=adaptive_override,
-        )
+        plans = self._plans
+        if plans is None:
+            # Built here rather than in __init__ so that a bound tighter
+            # than the ladder still raises at the first decision.
+            plans = self._plans = self.policy.plan_table(
+                self.ladder, self.prescribed_bound, self.priority
+            )
+        plan = plans.plan(predicted, self.abplot, adaptive=adaptive)
         decision = AdaptationDecision(
             step=step,
             plan=plan,

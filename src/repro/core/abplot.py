@@ -55,7 +55,17 @@ class AugmentationBandwidthPlot:
 
         Computed as ``(bw − bw_low) / (bw_high − bw_low)`` clamped to
         [0, 1] — algebraically ``k₁·bw + b₁``, but exact at the endpoints.
+        A Python float is mapped without numpy (a controller maps one per
+        step) by the same IEEE subtract and divide, clamped the way
+        ``np.clip`` clamps: NaN and ``-0.0`` pass through unchanged.
         """
+        if type(predicted_bw) is float:
+            deg = (predicted_bw - self.bw_low) / (self.bw_high - self.bw_low)
+            if deg < 0.0:
+                return 0.0
+            if deg > 1.0:
+                return 1.0
+            return deg
         bw = np.asarray(predicted_bw, dtype=np.float64)
         deg = np.clip((bw - self.bw_low) / (self.bw_high - self.bw_low), 0.0, 1.0)
         return float(deg) if deg.ndim == 0 else deg

@@ -23,7 +23,7 @@ import importlib
 
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import AccuracyLadder
-from repro.core.recompose import RecompositionPlan, plan_recomposition
+from repro.core.recompose import PlanTable, RecompositionPlan, plan_recomposition
 from repro.core.weights import WeightFunction, calibrate_weight_function
 from repro.engine.registry import POLICIES, register_policy
 
@@ -87,6 +87,24 @@ class Policy:
             ladder, use_priority=use_priority, use_accuracy=use_accuracy
         )
 
+    def plan_table(
+        self, ladder: AccuracyLadder, prescribed_bound: float, priority: float
+    ) -> PlanTable:
+        """This policy's plans for one ladder, bound and priority.
+
+        A controller builds one at its first decision and plans every
+        step through it with ``adaptive=self.app_adaptive`` (``False`` in
+        the weights-only degradation mode).  Each plan ``==`` what
+        :meth:`plan` returns for the same inputs.
+        """
+        return PlanTable(
+            ladder,
+            prescribed_bound,
+            self.weight_fn,
+            priority,
+            weight_cardinality=self.weight_cardinality,
+        )
+
     def plan(
         self,
         ladder: AccuracyLadder,
@@ -97,9 +115,10 @@ class Policy:
         *,
         adaptive: bool | None = None,
     ) -> RecompositionPlan:
-        """Plan a retrieval.  ``adaptive`` overrides the policy's own
-        application-layer adaptivity (the controller's weights-only
-        degradation mode forces full retrieval regardless of policy)."""
+        """Plan one retrieval from scratch.  ``adaptive`` overrides the
+        policy's own application-layer adaptivity (the controller's
+        weights-only degradation mode forces full retrieval regardless of
+        policy)."""
         return plan_recomposition(
             ladder,
             prescribed_bound,

@@ -75,6 +75,8 @@ class DFTEstimator(BandwidthEstimator):
         # predict(): the sparse spectrum is fixed between refits.
         self._k: np.ndarray | None = None
         self._ck: np.ndarray | None = None
+        #: ``_k`` as a float64 ``(1, K)`` row for the Python-int path.
+        self._k_row: np.ndarray | None = None
 
     @property
     def is_fitted(self) -> bool:
@@ -125,6 +127,7 @@ class DFTEstimator(BandwidthEstimator):
         self._kept_components = int(keep.sum())
         self._k = np.flatnonzero(filtered)
         self._ck = filtered[self._k]
+        self._k_row = self._k.astype(np.float64).reshape(1, -1)
         if span is not None:
             span.set(kept=self._kept_components, thresh=self.thresh).end()
             reg = OBS.registry
@@ -141,12 +144,20 @@ class DFTEstimator(BandwidthEstimator):
         """
         if not self.is_fitted:
             raise RuntimeError("estimator has not been fitted")
+        n = self._n
+        if type(steps) is int:
+            # A controller asks for one step at a time.  One multiply by the
+            # float k row builds the (1, K) array np.outer(s, k) builds
+            # below (the same products, as outer casts k to float64), and
+            # the (1, K) @ (K,) product is the same matmul, so the result
+            # is the array path's bit for bit.
+            phases = np.exp(2j * np.pi * (float(steps) * self._k_row) / n)
+            return float((phases @ self._ck).real[0] / n)
         # np.ndim == 0 (not np.isscalar) so numpy scalars and 0-d arrays
         # take the scalar branch too — the interface contract is scalar
         # in → float out, array in → same-shape float64 ndarray out.
         scalar = np.ndim(steps) == 0
         s = np.atleast_1d(np.asarray(steps, dtype=np.float64)).ravel()
-        n = self._n
         k = self._k
         # x(s) = (1/n) * Re( sum_k FC_k * exp(2πi k s / n) )
         phases = np.exp(2j * np.pi * np.outer(s, k) / n)

@@ -16,6 +16,7 @@ tiers, applying the weights through the cgroup controller) lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,13 @@ from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import AccuracyLadder, AugmentationBucket
 from repro.core.weights import WeightFunction
 
-__all__ = ["RetrievalStep", "RecompositionPlan", "plan_recomposition", "recompose_to_bound"]
+__all__ = [
+    "RetrievalStep",
+    "RecompositionPlan",
+    "PlanTable",
+    "plan_recomposition",
+    "recompose_to_bound",
+]
 
 
 @dataclass(frozen=True)
@@ -86,6 +93,95 @@ def _rung_for_degree(ladder: AccuracyLadder, degree: float) -> int:
     return rung
 
 
+class PlanTable:
+    """Algorithm 1's decision phase with everything but the bandwidth fixed.
+
+    A controller's ladder, prescribed bound, weight function and priority
+    never change, and neither do the prescribed rung ``i`` nor, for a
+    target rung ``k``, the retrieval steps 1..k with their weights.  The
+    table finds ``i`` when it is built (a bound tighter than the ladder
+    raises ``ValueError`` here) and each ``k``'s steps the first time
+    ``k`` is planned; :meth:`plan` then only maps the bandwidth to the
+    abplot degree and the estimated rung ``j`` and takes
+    ``k = max(i, j)``.  :func:`plan_recomposition` plans through a
+    one-shot table, so a table's plans ``==`` the stateless ones.
+
+    Parameters are those of :func:`plan_recomposition`.
+    """
+
+    def __init__(
+        self,
+        ladder: AccuracyLadder,
+        prescribed_bound: float,
+        weight_fn: WeightFunction | None = None,
+        priority: float = 1.0,
+        *,
+        weight_cardinality: str = "bucket",
+    ) -> None:
+        if weight_cardinality not in ("bucket", "total"):
+            raise ValueError(
+                f"weight_cardinality must be 'bucket' or 'total', got {weight_cardinality!r}"
+            )
+        self.ladder = ladder
+        self.prescribed_rung = ladder.find_bucket_for_bound(prescribed_bound)
+        self.weight_fn = weight_fn
+        self.priority = priority
+        self.weight_cardinality = weight_cardinality
+        self._steps: list[tuple[RetrievalStep, ...] | None] = [None] * (
+            ladder.num_buckets + 1
+        )
+
+    def steps(self, target: int) -> tuple[RetrievalStep, ...]:
+        """The retrieval sequence for rungs 1..``target`` (lines 10–11)."""
+        steps = self._steps[target]
+        if steps is None:
+            buckets = self.ladder.buckets[:target]
+            total_cardinality = sum(b.cardinality for b in buckets)
+            built = []
+            for bkt in buckets:
+                card = (
+                    bkt.cardinality
+                    if self.weight_cardinality == "bucket"
+                    else total_cardinality
+                )
+                weight = (
+                    self.weight_fn(card, bkt.bound, self.priority)
+                    if self.weight_fn is not None
+                    else None
+                )
+                built.append(
+                    RetrievalStep(bucket=bkt, tier_level=bkt.finest_level, weight=weight)
+                )
+            steps = self._steps[target] = tuple(built)
+        return steps
+
+    def plan(
+        self,
+        predicted_bw: float,
+        abplot: AugmentationBandwidthPlot,
+        *,
+        adaptive: bool = True,
+    ) -> RecompositionPlan:
+        """The plan for one step's bandwidth prediction (lines 6–9)."""
+        if not math.isfinite(predicted_bw):
+            raise ValueError(f"predicted_bw must be finite, got {predicted_bw!r}")
+        if adaptive:
+            degree = float(abplot.degree(max(predicted_bw, 0.0)))
+            estimated = _rung_for_degree(self.ladder, degree)
+        else:
+            degree = 1.0
+            estimated = self.ladder.num_buckets
+        target = max(self.prescribed_rung, estimated)
+        return RecompositionPlan(
+            prescribed_rung=self.prescribed_rung,
+            estimated_rung=estimated,
+            target_rung=target,
+            predicted_bw=float(predicted_bw),
+            augmentation_degree=degree,
+            steps=self.steps(target),
+        )
+
+
 def plan_recomposition(
     ladder: AccuracyLadder,
     prescribed_bound: float,
@@ -122,39 +218,18 @@ def plan_recomposition(
         the accuracy term varies — the reading behind the paper's
         falling Fig. 15 trace ("proportional to the cardinality of the
         *total* augmentations").
-    """
-    if not np.isfinite(predicted_bw):
-        raise ValueError(f"predicted_bw must be finite, got {predicted_bw!r}")
-    if weight_cardinality not in ("bucket", "total"):
-        raise ValueError(
-            f"weight_cardinality must be 'bucket' or 'total', got {weight_cardinality!r}"
-        )
-    prescribed = ladder.find_bucket_for_bound(prescribed_bound)
-    if adaptive:
-        degree = float(abplot.degree(max(predicted_bw, 0.0)))
-        estimated = _rung_for_degree(ladder, degree)
-    else:
-        degree = 1.0
-        estimated = ladder.num_buckets
-    target = max(prescribed, estimated)
 
-    total_cardinality = sum(ladder.bucket(m).cardinality for m in range(1, target + 1))
-    steps = []
-    for m in range(1, target + 1):
-        bkt = ladder.bucket(m)
-        card = bkt.cardinality if weight_cardinality == "bucket" else total_cardinality
-        weight = (
-            weight_fn(card, bkt.bound, priority) if weight_fn is not None else None
-        )
-        steps.append(RetrievalStep(bucket=bkt, tier_level=bkt.finest_level, weight=weight))
-    return RecompositionPlan(
-        prescribed_rung=prescribed,
-        estimated_rung=estimated,
-        target_rung=target,
-        predicted_bw=float(predicted_bw),
-        augmentation_degree=degree,
-        steps=tuple(steps),
+    A controller plans every step through its own :class:`PlanTable`
+    instead, which reaches the same plan without rebuilding the steps.
+    """
+    # Checked before the table is built: a non-finite prediction is the
+    # error reported even when the bound or the cardinality mode is bad too.
+    if not math.isfinite(predicted_bw):
+        raise ValueError(f"predicted_bw must be finite, got {predicted_bw!r}")
+    table = PlanTable(
+        ladder, prescribed_bound, weight_fn, priority, weight_cardinality=weight_cardinality
     )
+    return table.plan(predicted_bw, abplot, adaptive=adaptive)
 
 
 def recompose_to_bound(ladder: AccuracyLadder, plan: RecompositionPlan) -> np.ndarray:

@@ -26,8 +26,10 @@ one elementwise comparison).  Both keep every sum and surplus
 subtraction in demand order, so they are **bit-identical** to each
 other and to the dict-based oracle in ``tests/blkio_oracle.py`` — the
 pinned scenario fingerprints and the parity property tests in
-``tests/test_blkio.py`` enforce it.  :func:`compute_rates` keeps the
-``list[StreamDemand] → dict`` signature as a validated wrapper.
+``tests/test_blkio.py`` enforce it.  Those sums are explicit loops, not
+``sum()``, which compensates float sums since Python 3.12.
+:func:`compute_rates` keeps the ``list[StreamDemand] → dict`` signature
+as a validated wrapper.
 """
 
 from __future__ import annotations
@@ -125,10 +127,13 @@ def _solve_n_arrays(
     """
     m = np.minimum(c, p)
     fu = np.minimum(f, m) / p
-    # Floors sum sequentially (left-to-right, demand order): float addition
-    # is not associative, and bit-parity with the reference requires the
-    # same reduction order, so no np.sum here.
-    total_floor = sum(fu.tolist())
+    # Every sum is an explicit left-to-right loop in demand order: float
+    # addition is not associative, so bit-parity with the reference needs
+    # the same reduction order — neither np.sum (pairwise) nor sum()
+    # (compensated since Python 3.12).
+    total_floor = 0.0
+    for u in fu.tolist():
+        total_floor += u
     if total_floor > MAX_FLOOR_UTILISATION:
         fu = fu * (MAX_FLOOR_UTILISATION / total_floor)
         total_floor = MAX_FLOOR_UTILISATION
@@ -137,7 +142,9 @@ def _solve_n_arrays(
         return fu * p, 0, 0
     headroom = np.maximum(m / p - fu, 0.0)
 
-    total_w = sum(w.tolist())
+    total_w = 0.0
+    for x in w.tolist():
+        total_w += x
     share = remaining * w / total_w
     capped_mask = headroom <= share * CAP_SLACK
     if not capped_mask.any():
@@ -157,7 +164,9 @@ def _solve_n_arrays(
     while idx.size and remaining > EPS_REMAINING:
         rounds += 1
         w_act = w[idx]
-        total_w = sum(w_act.tolist())
+        total_w = 0.0
+        for x in w_act.tolist():
+            total_w += x
         share = remaining * w_act / total_w
         capped_mask = headroom[idx] <= share * CAP_SLACK
         if not capped_mask.any():
@@ -190,7 +199,9 @@ def _solve_scalar(
     n = len(weights)
     m = [c if c < p else p for c, p in zip(caps, peaks)]
     fu = [(f if f < mi else mi) / p for f, mi, p in zip(floors, m, peaks)]
-    total_floor = sum(fu)
+    total_floor = 0.0
+    for u in fu:
+        total_floor += u
     if total_floor > MAX_FLOOR_UTILISATION:
         ratio = MAX_FLOOR_UTILISATION / total_floor
         fu = [u * ratio for u in fu]

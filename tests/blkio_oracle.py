@@ -30,7 +30,11 @@ def compute_rates_reference(demands: list[StreamDemand]) -> dict[int, float]:
     floor_utils = {
         d.key: min(d.floor, min(d.cap, d.peak_rate)) / d.peak_rate for d in demands
     }
-    total_floor = sum(floor_utils.values())
+    # Sums are left-to-right loops: sum() compensates float sums since
+    # Python 3.12, so it would not add in demand order there.
+    total_floor = 0.0
+    for u in floor_utils.values():
+        total_floor += u
     if total_floor > MAX_FLOOR_UTILISATION:
         scale = MAX_FLOOR_UTILISATION / total_floor
         floor_utils = {k: u * scale for k, u in floor_utils.items()}
@@ -43,7 +47,9 @@ def compute_rates_reference(demands: list[StreamDemand]) -> dict[int, float]:
     active = list(demands)
     remaining_util = 1.0 - total_floor
     while active and remaining_util > EPS_REMAINING:
-        total_w = sum(d.weight for d in active)
+        total_w = 0.0
+        for d in active:
+            total_w += d.weight
         capped = []
         uncapped = []
         for d in active:

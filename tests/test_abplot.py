@@ -1,8 +1,10 @@
 """Tests for repro.core.abplot — the augmentation-bandwidth map."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.abplot import AugmentationBandwidthPlot
@@ -67,3 +69,36 @@ class TestProperties:
         d = ab.degree(bw)
         assert 0.0 <= d <= 1.0
         assert ab.degree(bw + 1e6) >= d
+
+
+def _array_path(ab, bw):
+    """The degree through numpy, as every non-float input gets it."""
+    with np.errstate(over="ignore"):
+        return float(ab.degree(np.array([bw]))[0])
+
+
+class TestPythonFloatPath:
+    """A Python float skips numpy but must give the array path's value,
+    bit for bit (``repr`` tells ``-0.0`` from ``0.0`` and matches NaN)."""
+
+    def test_thresholds_and_their_neighbours(self, ab):
+        points = [0.0, -0.0, math.nan, math.inf, -math.inf]
+        for edge in (ab.bw_low, ab.bw_high):
+            points += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        for bw in points:
+            got = ab.degree(bw)
+            assert type(got) is float
+            assert repr(got) == repr(_array_path(ab, bw)), bw
+            assert repr(got) == repr(ab.degree(np.float64(bw))), bw
+
+    @given(
+        low=st.floats(1e-300, 1e12),
+        span=st.floats(1e-300, 1e12),
+        bw=st.floats(allow_nan=True, allow_infinity=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_float(self, low, span, bw):
+        high = low + span
+        assume(high > low)
+        ab = AugmentationBandwidthPlot(bw_low=low, bw_high=high)
+        assert repr(ab.degree(bw)) == repr(_array_path(ab, bw))

@@ -1,5 +1,6 @@
 """Tests for repro.storage.blkio — proportional-share rate computation."""
 
+import builtins
 import math
 
 import numpy as np
@@ -261,3 +262,68 @@ class TestSolverParity:
     def test_empty_solve(self):
         empty = np.zeros(0)
         assert len(solve_rates_arrays(empty, empty, empty, empty)) == 0
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _neumaier_sum(values, start=0):
+    """``sum()`` as Python 3.12 does it for floats: Neumaier-compensated."""
+    items = list(values)
+    if not all(type(v) is float for v in items):
+        return _BUILTIN_SUM(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            comp += (total - t) + x
+        else:
+            comp += (x - t) + total
+        total = t
+    return total + comp
+
+
+class TestSumOrder:
+    """Solver and oracle add left to right whatever ``sum()`` does.
+
+    Python 3.12 compensates ``sum()`` of floats, which moves the last bit
+    of e.g. ten 0.1s.  With ``builtins.sum`` swapped for such a sum, both
+    solver regimes (loop up to 8 streams, numpy above) and the oracle
+    must return the rates they return without the swap.
+    """
+
+    #: (weight, floor share) of seven streams whose different floor sums
+    #: reach the rates.
+    LOOP_FLOORS = [
+        (100, 0.07), (100, 0.05), (300, 0.1), (100, 0.03), (300, 0.02), (100, 0.03), (200, 0.07)
+    ]
+    #: name -> (demands, the summed field whose two sums differ).
+    CASES = {
+        "loop-floors": (
+            [d(i, w, floor=u * PEAK) for i, (w, u) in enumerate(LOOP_FLOORS)],
+            "floor",
+        ),
+        "loop-weights": ([d(i, 0.1) for i in range(8)], "weight"),
+        "numpy-floors": ([d(i, 100, floor=0.09 * PEAK) for i in range(10)], "floor"),
+        "numpy-weights": ([d(i, 0.1) for i in range(10)], "weight"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rates_ignore_a_compensated_sum(self, name, monkeypatch):
+        demands, field = self.CASES[name]
+        if field == "floor":
+            terms = [dm.floor / dm.peak_rate for dm in demands]
+        else:
+            terms = [dm.weight for dm in demands]
+        assert _neumaier_sum(terms) != _left_to_right(terms)
+        before = compute_rates(demands), compute_rates_reference(demands)
+        monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+        after = compute_rates(demands), compute_rates_reference(demands)
+        assert after == before

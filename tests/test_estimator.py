@@ -243,3 +243,18 @@ class TestPredictContract:
         """The scalar path and the length-1 array path agree exactly."""
         for est in self._fitted():
             assert est.predict(35) == est.predict(np.array([35]))[0]
+
+    @given(
+        history=st.lists(st.floats(0.0, 1e9), min_size=2, max_size=64),
+        thresh=st.floats(0.0, 1.0),
+        keep_dc=st.booleans(),
+        step=st.integers(-1000, 100_000),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_python_int_path_is_the_array_path(self, history, thresh, keep_dc, step):
+        """A controller's Python-int step gives the array path's value, bit
+        for bit, on any fitted history."""
+        est = DFTEstimator(thresh, keep_dc=keep_dc).fit(np.asarray(history))
+        out = est.predict(step)
+        assert type(out) is float
+        assert out == est.predict(np.array([step]))[0]
