@@ -115,7 +115,11 @@ class CentralizedWeights(ArbitrationPolicy):
         # Unreported nodes (first rounds) count at fair share so early
         # allocations stay near-uniform instead of starving latecomers.
         wants = [self._wants.get(i, cfg.base_rate) for i in range(n)]
-        total_want = sum(wants)
+        # Left to right on every Python: 3.12's sum() compensates float
+        # sums, which would move the allocations' last bits.
+        total_want = 0.0
+        for want in wants:
+            total_want += want
         if total_want <= 0.0:
             return [(i, cfg.base_rate) for i in range(n)]
         return [(i, floor + spare * wants[i] / total_want) for i in range(n)]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from repro.dataplane.policy import TokenBucket
 from repro.obs.metrics import Registry
-from repro.simkernel import Timeout
 from repro.util.rng import spawn_rngs
 
 __all__ = ["NodeState", "NodeReport", "LATENCY_BUCKETS"]
@@ -66,11 +65,17 @@ class NodeState:
             start=0.0,
         )
         self._label = f"{node_id:04d}"
-        self._latency = registry.histogram(
+        latency = registry.histogram(
             "cluster.latency_s",
             "request latency (shaping + transfer), seconds",
             buckets=LATENCY_BUCKETS,
         )
+        # Two series per observation: the node's own (per-node tails,
+        # merged across shards by label) and the cluster-wide "all"
+        # series (global p99 without a second reduction pass).  Each is
+        # keyed once here and created at its first observation.
+        self._latency_node = latency.bind(node=self._label)
+        self._latency_all = latency.bind(node="all")
         # -- totals over the whole run -----------------------------------
         self.demand_bytes = 0.0
         self.served_bytes = 0.0
@@ -88,18 +93,29 @@ class NodeState:
         demand_rate = config.demand_multiplier(node_id) * config.base_rate
         per_tenant = demand_rate / config.tenants_per_node
         mean_interarrival = config.request_bytes / per_tenant
+        self._request_bytes = float(config.request_bytes)
         self.arbiter = None  # set by the shard right after construction
         for tenant_rng in spawn_rngs(rng, config.tenants_per_node):
-            sim.process(self._tenant(tenant_rng, mean_interarrival))
+            sim.schedule(0.0, self._next_arrival, tenant_rng, mean_interarrival)
 
     # -- workload ---------------------------------------------------------
+    #
+    # A tenant is a self-rescheduling callback: its start entry draws the
+    # first interarrival, and each arrival draws its size, submits, then
+    # draws and schedules the next arrival.  ``mean * standard_exponential()``
+    # and ``0.5 + random()`` are the IEEE operations numpy's
+    # ``exponential(mean)`` and ``uniform(0.5, 1.5)`` perform on the same
+    # draws (tests/test_util_rng.py pins the identity).
 
-    def _tenant(self, rng, mean_interarrival: float):
-        config = self.config
-        while True:
-            yield Timeout(float(rng.exponential(mean_interarrival)))
-            nbytes = float(config.request_bytes) * float(rng.uniform(0.5, 1.5))
-            self.submit(nbytes)
+    def _next_arrival(self, rng, mean_interarrival: float) -> None:
+        self.sim.schedule(
+            mean_interarrival * rng.standard_exponential(),
+            self._arrive, rng, mean_interarrival,
+        )
+
+    def _arrive(self, rng, mean_interarrival: float) -> None:
+        self.submit(self._request_bytes * (0.5 + rng.random()))
+        self._next_arrival(rng, mean_interarrival)
 
     def submit(self, nbytes: float) -> None:
         now = self.sim.now
@@ -116,11 +132,8 @@ class NodeState:
         self.completions += 1
         if latency > self.config.slo_latency_s:
             self.violations += 1
-        # Two series per observation: the node's own (per-node tails,
-        # merged across shards by label) and the cluster-wide "all"
-        # series (global p99 without a second reduction pass).
-        self._latency.observe(latency, node=self._label)
-        self._latency.observe(latency, node="all")
+        self._latency_node.observe(latency)
+        self._latency_all.observe(latency)
 
     # -- round protocol ---------------------------------------------------
 

@@ -153,16 +153,31 @@ class Histogram(_Metric):
         # per label set: [counts per bound + overflow], sum, count
         self._series: dict[LabelKey, tuple[list[int], list[float]]] = {}
 
-    def observe(self, value: float, **labels: object) -> None:
-        key = _label_key(labels)
+    def _series_for(self, key: LabelKey) -> tuple[list[int], list[float]]:
+        """The series for ``key``, created empty on first use."""
         entry = self._series.get(key)
         if entry is None:
             entry = ([0] * (len(self.bounds) + 1), [0.0, 0.0])
             self._series[key] = entry
-        counts, agg = entry
+        return entry
+
+    def observe(self, value: float, **labels: object) -> None:
+        counts, agg = self._series_for(_label_key(labels))
         counts[bisect.bisect_left(self.bounds, value)] += 1
         agg[0] += value
         agg[1] += 1.0
+
+    def bind(self, **labels: object) -> "_BoundHistogram":
+        """A handle that observes into one label set, keyed once.
+
+        ``h.bind(**labels).observe(v)`` records exactly what
+        ``h.observe(v, **labels)`` records, without keying the labels on
+        every call.  The series is created at the handle's first
+        observation, as :meth:`observe` creates it, so a handle that
+        never observes adds nothing to the snapshot.  Handles and keyword
+        observations of one label set share one series.
+        """
+        return _BoundHistogram(self, _label_key(labels))
 
     def count(self, **labels: object) -> int:
         entry = self._series.get(_label_key(labels))
@@ -231,6 +246,29 @@ class Histogram(_Metric):
             cumulative["+Inf"] = running + counts[-1]
             out[key] = {"buckets": cumulative, "sum": agg[0], "count": int(agg[1])}
         return out
+
+
+class _BoundHistogram:
+    """One label set of a :class:`Histogram` (see :meth:`Histogram.bind`)."""
+
+    __slots__ = ("_hist", "_key", "_bounds", "_entry")
+
+    def __init__(self, hist: Histogram, key: LabelKey) -> None:
+        self._hist = hist
+        self._key = key
+        self._bounds = hist.bounds
+        self._entry: tuple[list[int], list[float]] | None = None
+
+    def observe(self, value: float) -> None:
+        entry = self._entry
+        if entry is None:
+            # Looked up only now: another handle or a keyword observation
+            # may have created the series since this handle was bound.
+            entry = self._entry = self._hist._series_for(self._key)
+        counts, agg = entry
+        counts[bisect.bisect_left(self._bounds, value)] += 1
+        agg[0] += value
+        agg[1] += 1.0
 
 
 class Registry:

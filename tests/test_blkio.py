@@ -15,6 +15,7 @@ from repro.storage.blkio import (
     solve_rates_arrays,
 )
 from tests.blkio_oracle import compute_rates_reference
+from tests.float_sums import left_to_right, neumaier_sum
 
 PEAK = 200e6
 
@@ -264,32 +265,6 @@ class TestSolverParity:
         assert len(solve_rates_arrays(empty, empty, empty, empty)) == 0
 
 
-_BUILTIN_SUM = builtins.sum
-
-
-def _left_to_right(values):
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def _neumaier_sum(values, start=0):
-    """``sum()`` as Python 3.12 does it for floats: Neumaier-compensated."""
-    items = list(values)
-    if not all(type(v) is float for v in items):
-        return _BUILTIN_SUM(items, start)
-    total, comp = float(start), 0.0
-    for x in items:
-        t = total + x
-        if abs(total) >= abs(x):
-            comp += (total - t) + x
-        else:
-            comp += (x - t) + total
-        total = t
-    return total + comp
-
-
 class TestSumOrder:
     """Solver and oracle add left to right whatever ``sum()`` does.
 
@@ -322,8 +297,8 @@ class TestSumOrder:
             terms = [dm.floor / dm.peak_rate for dm in demands]
         else:
             terms = [dm.weight for dm in demands]
-        assert _neumaier_sum(terms) != _left_to_right(terms)
+        assert neumaier_sum(terms) != left_to_right(terms)
         before = compute_rates(demands), compute_rates_reference(demands)
-        monkeypatch.setattr(builtins, "sum", _neumaier_sum)
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
         after = compute_rates(demands), compute_rates_reference(demands)
         assert after == before

@@ -14,7 +14,9 @@ Two properties the whole ``repro.cluster`` design exists to uphold:
   :class:`~repro.simkernel.Simulation` hosting every node, so its
   fingerprint is pinned to a recorded constant (the same style as
   ``test_dataplane_guard.py``).  A changed hash means node-level
-  behaviour changed for *everyone*, not just a sharding bug.
+  behaviour changed for *everyone*, not just a sharding bug.  The
+  benchmark's ``cluster_rounds`` shape is pinned the same way, so a
+  speed-up claimed there is checked against the results it produced.
 
 Re-recording policy: the pinned hashes move together with any
 intentional change to node demand generation, token-bucket semantics,
@@ -23,10 +25,13 @@ running the printed config through ``ClusterResult.fingerprint()`` and
 explain the behaviour change in the commit that moves them.
 """
 
+import builtins
 
 import pytest
 
 from repro.cluster import ClusterConfig, make_shard_pool, run_cluster
+from repro.util.units import KiB
+from tests.float_sums import neumaier_sum
 
 #: The pinned 1-shard scenario: every node on one plain Simulation.
 PARITY_CONFIG = ClusterConfig(
@@ -41,6 +46,26 @@ PARITY_FINGERPRINT_ADAPTBF = (
 )
 
 
+#: The shape of the benchmark's ``cluster_rounds`` units
+#: (bench/workloads.py): 16 nodes x 8 tenants on 4 shards, 20 rounds.
+BENCH_SHAPE = ClusterConfig(
+    n_nodes=16,
+    tenants_per_node=8,
+    shards=4,
+    rounds=20,
+    request_bytes=256 * KiB,
+    collect_round_stats=True,
+)
+#: Unit 0 at benchmark seed 0: centralized, cluster seed 0.
+BENCH_UNIT0_FINGERPRINT = (
+    "431eae36717f7b098b3bf0d7a55fc5157046043648fb8130b53871f9e53e3bf9"
+)
+#: Unit 1 at benchmark seed 0: adaptbf, cluster seed 1.
+BENCH_UNIT1_FINGERPRINT = (
+    "28d5b77abb97c59ed50cc3931db9071c944939e5491697240d2d51f1aeb5fcd1"
+)
+
+
 class TestPinnedParity:
     def test_one_shard_centralized(self):
         assert run_cluster(PARITY_CONFIG).fingerprint() == PARITY_FINGERPRINT
@@ -48,6 +73,35 @@ class TestPinnedParity:
     def test_one_shard_adaptbf(self):
         cfg = PARITY_CONFIG.with_(arbitration="adaptbf")
         assert run_cluster(cfg).fingerprint() == PARITY_FINGERPRINT_ADAPTBF
+
+
+class TestPinnedBenchmarkShape:
+    def test_unit0_centralized(self):
+        cfg = BENCH_SHAPE.with_(arbitration="centralized", seed=0)
+        assert run_cluster(cfg).fingerprint() == BENCH_UNIT0_FINGERPRINT
+
+    def test_unit1_adaptbf(self):
+        cfg = BENCH_SHAPE.with_(arbitration="adaptbf", seed=1)
+        assert run_cluster(cfg).fingerprint() == BENCH_UNIT1_FINGERPRINT
+
+
+class TestSumOrder:
+    """The parity pins hold on Python 3.12, whose ``sum()`` compensates.
+
+    With ``builtins.sum`` swapped for a Neumaier sum, both parity
+    configs must still read their pinned fingerprints: every float sum
+    that reaches a fingerprint adds left to right in an explicit loop.
+    """
+
+    @pytest.mark.parametrize(
+        "policy, pinned",
+        [("centralized", PARITY_FINGERPRINT), ("adaptbf", PARITY_FINGERPRINT_ADAPTBF)],
+        ids=["centralized", "adaptbf"],
+    )
+    def test_parity_under_a_compensated_sum(self, policy, pinned, monkeypatch):
+        monkeypatch.setattr(builtins, "sum", neumaier_sum)
+        cfg = PARITY_CONFIG.with_(arbitration=policy)
+        assert run_cluster(cfg).fingerprint() == pinned
 
 
 class TestWorkerCountInvariance:

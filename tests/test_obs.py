@@ -209,6 +209,83 @@ class TestMerge:
         assert a.snapshot() == b.snapshot()
 
 
+class TestHistogramBind:
+    """``Histogram.bind``: a once-keyed handle equal to keyword observes."""
+
+    BUCKETS = (0.01, 0.1, 1.0)
+    #: Values whose float sums depend on the order they are added in.
+    VALUES = (0.1, 0.7, 0.2, 1e-3, 3.3, 0.05, 0.1, 2.5e-2, 1.7)
+
+    def _node_registry(self, node: str, values, *, bound: bool) -> Registry:
+        """A shard-like registry: each value into the node's and "all" series."""
+        reg = Registry()
+        h = reg.histogram("lat", buckets=self.BUCKETS)
+        if bound:
+            mine, everyone = h.bind(node=node), h.bind(node="all")
+            for v in values:
+                mine.observe(v)
+                everyone.observe(v)
+        else:
+            for v in values:
+                h.observe(v, node=node)
+                h.observe(v, node="all")
+        return reg
+
+    def test_same_snapshot_as_keyword_observations(self):
+        bound = self._node_registry("0001", self.VALUES, bound=True)
+        keyword = self._node_registry("0001", self.VALUES, bound=False)
+        assert bound.snapshot() == keyword.snapshot()
+        h = bound.get("lat")
+        assert h.sum(node="all") == keyword.get("lat").sum(node="all")
+        assert h.count(node="0001") == len(self.VALUES)
+
+    def test_label_order_does_not_matter(self):
+        h = Histogram("h", buckets=self.BUCKETS)
+        h.bind(b=1, a="x").observe(0.5)
+        h.observe(0.25, a="x", b="1")
+        assert h.count(a="x", b=1) == 2
+        assert len(h.series()) == 1
+
+    def test_unused_handle_adds_no_series(self):
+        reg = Registry()
+        h = reg.histogram("lat", buckets=self.BUCKETS)
+        h.observe(0.5, node="0000")
+        before = reg.snapshot()
+        h.bind(node="0001")
+        h.bind(node="0000")
+        assert reg.snapshot() == before
+
+    def test_handles_and_keywords_share_one_series(self):
+        h = Histogram("h", buckets=self.BUCKETS)
+        early, early_twin = h.bind(node="a"), h.bind(node="a")
+        early_twin.observe(0.05)
+        h.observe(0.5, node="a")
+        late = h.bind(node="a")
+        early.observe(2.0)
+        late.observe(0.005)
+        h.observe(0.2, node="a")
+        assert list(h.series()) == [(("node", "a"),)]
+        assert h.count(node="a") == 5
+        assert h.sum(node="a") == 0.05 + 0.5 + 2.0 + 0.005 + 0.2
+
+    def test_merge_of_bound_shards_equals_merge_of_keyword_shards(self):
+        shards = {
+            "0000": self.VALUES[:4],
+            "0001": (),  # a node without completions adds no series
+            "0002": self.VALUES[4:],
+            "0003": self.VALUES[::-1],
+        }
+        merged = {}
+        for bound in (True, False):
+            reg = Registry()
+            for node, values in shards.items():
+                reg.merge(self._node_registry(node, values, bound=bound))
+            merged[bound] = reg.snapshot()
+        assert merged[True] == merged[False]
+        labels = [row["labels"]["node"] for row in merged[True]["lat"]["series"]]
+        assert labels == ["0000", "0002", "0003", "all"]
+
+
 class TestHistogramQuantile:
     def test_quantile_upper_bound_semantics(self):
         h = Histogram("h", buckets=(1.0, 10.0, 100.0))
