@@ -1,9 +1,11 @@
 """Node-sharded cluster kernel with pluggable bandwidth arbitration.
 
 One :class:`ClusterConfig` describes ``n_nodes`` token-governed nodes
-partitioned over ``shards`` independent simulations, advanced in
-bounded-lag rounds by :func:`run_cluster` — serially or on a pool of
-``spawn`` workers, with bit-identical results either way.  Cross-node
+partitioned over ``shards`` independent shards, advanced in bounded-lag
+rounds by :func:`run_cluster` — serially or on a pool of ``spawn``
+workers, with bit-identical results either way.  A shard needs no event
+kernel: it drains its tenants' arrivals from one heap and observes the
+completions due at each round end (:mod:`repro.cluster.shard`).  Cross-node
 bandwidth arbitration is a registry axis (:data:`ARBITRATION`):
 ``centralized`` mirrors the paper's global weight controller,
 ``adaptbf`` trades tokens between ring neighbours with no coordinator.

@@ -67,7 +67,9 @@ class ClusterResult:
     reports: tuple[NodeReport, ...]
     #: Shard registries folded together (shard 0..S−1 order).
     registry: Registry
-    #: Kernel events executed, summed over shards.
+    #: The model's events, summed over shards: one start per tenant, one
+    #: per arrival and one per completion by the horizon — the count an
+    #: event kernel running the same model would execute.
     events_executed: int
     #: Simulated seconds covered (== config.horizon).
     sim_time: float
@@ -89,7 +91,7 @@ class ClusterResult:
 
     @property
     def events_per_sec(self) -> float:
-        """Aggregate kernel throughput across all shards."""
+        """Aggregate model-event throughput across all shards."""
         return self.events_executed / self.wall_s if self.wall_s > 0 else 0.0
 
     @property

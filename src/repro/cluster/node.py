@@ -9,6 +9,12 @@ shaping delay), then transfers at the device's peak bandwidth;
 ``latency = shaping delay + transfer time``, scored against the
 config's latency SLO.
 
+A node schedules nothing itself.  Its shard draws the tenants'
+arrivals, :meth:`NodeState.submit` returns each request's completion
+instant (the reservation fixes it), and the shard hands the completion
+back through :meth:`NodeState.complete` at the end of the round it
+falls in, before the round-end hooks run.
+
 Nodes never touch each other's state inside a shard — all cross-node
 coupling flows through the round-boundary message bus — so per-node
 outcomes depend only on ``(config, node_id)`` and the node's inbox,
@@ -47,12 +53,15 @@ class NodeReport:
 
 
 class NodeState:
-    """Live per-node state inside one shard simulation."""
+    """Live per-node state inside one shard.
 
-    def __init__(self, config, node_id: int, sim, registry: Registry, rng) -> None:
+    Holds the tenants' RNG streams (``tenant_rngs``) and their
+    ``mean_interarrival`` for the shard's arrival loop.
+    """
+
+    def __init__(self, config, node_id: int, registry: Registry, rng) -> None:
         self.config = config
         self.id = node_id
-        self.sim = sim
         self.registry = registry
         self.base_rate = config.base_rate
         self.rate = config.base_rate
@@ -92,42 +101,27 @@ class NodeState:
         # spawned RNG streams — deterministic per (seed, node_id).
         demand_rate = config.demand_multiplier(node_id) * config.base_rate
         per_tenant = demand_rate / config.tenants_per_node
-        mean_interarrival = config.request_bytes / per_tenant
-        self._request_bytes = float(config.request_bytes)
+        self.mean_interarrival = config.request_bytes / per_tenant
+        self.tenant_rngs = spawn_rngs(rng, config.tenants_per_node)
         self.arbiter = None  # set by the shard right after construction
-        for tenant_rng in spawn_rngs(rng, config.tenants_per_node):
-            sim.schedule(0.0, self._next_arrival, tenant_rng, mean_interarrival)
 
     # -- workload ---------------------------------------------------------
-    #
-    # A tenant is a self-rescheduling callback: its start entry draws the
-    # first interarrival, and each arrival draws its size, submits, then
-    # draws and schedules the next arrival.  ``mean * standard_exponential()``
-    # and ``0.5 + random()`` are the IEEE operations numpy's
-    # ``exponential(mean)`` and ``uniform(0.5, 1.5)`` perform on the same
-    # draws (tests/test_util_rng.py pins the identity).
 
-    def _next_arrival(self, rng, mean_interarrival: float) -> None:
-        self.sim.schedule(
-            mean_interarrival * rng.standard_exponential(),
-            self._arrive, rng, mean_interarrival,
-        )
+    def submit(self, nbytes: float, now: float) -> float:
+        """Admit one request at ``now``; returns its completion instant.
 
-    def _arrive(self, rng, mean_interarrival: float) -> None:
-        self.submit(self._request_bytes * (0.5 + rng.random()))
-        self._next_arrival(rng, mean_interarrival)
-
-    def submit(self, nbytes: float) -> None:
-        now = self.sim.now
+        The bucket reservation fixes the shaping delay at submit (FIFO,
+        and a reservation always succeeds), so the instant is known here.
+        """
         self.demand_bytes += nbytes
         self.demand_bytes_round += nbytes
         self.consumed_round += nbytes
         delay = self.bucket.reserve(nbytes, now)
-        service = nbytes / self.config.node_peak_bw
-        self.sim.schedule(delay + service, self._complete, nbytes, now)
+        return now + (delay + nbytes / self.config.node_peak_bw)
 
-    def _complete(self, nbytes: float, arrival: float) -> None:
-        latency = self.sim.now - arrival
+    def complete(self, nbytes: float, arrival: float, done: float) -> None:
+        """Observe one completion: served bytes, SLO score, latency."""
+        latency = done - arrival
         self.served_bytes += nbytes
         self.completions += 1
         if latency > self.config.slo_latency_s:

@@ -1,9 +1,10 @@
 """``ShardPool``: persistent shard-hosting worker processes.
 
 ``SweepExecutor``'s pool maps stateless jobs; shards are the opposite —
-a shard's :class:`~repro.cluster.shard.ShardRuntime` holds a live
-simulation object graph that cannot cross a process boundary, so each
-shard must *live* in one worker for the whole run.  The pool follows the
+a shard's :class:`~repro.cluster.shard.ShardRuntime` holds live node
+state (token buckets, RNG streams, queued arrivals and completions)
+that cannot cross a process boundary mid-run, so each shard must *live*
+in one worker for the whole run.  The pool follows the
 executor's conventions (``spawn`` context for state isolation,
 ``resolve_workers`` for sizing, a serial in-process fallback that runs
 the identical code) but keeps dedicated workers connected by pipes:

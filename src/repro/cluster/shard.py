@@ -1,12 +1,20 @@
-"""One shard: a self-contained :class:`Simulation` over a node subset.
+"""One shard: a node subset advanced by its own arrival loop.
 
 A shard owns the nodes ``{i : i % shards == shard_id}`` and advances
 them through bounded-lag rounds::
 
     advance_round(k, inbound):
         deliver inbound messages (canonical order), run arbitration
-        round-start hooks, simulate ``round_interval`` seconds, run
-        round-end hooks; return everything the nodes emitted.
+        round-start hooks, serve every arrival due by the round's end,
+        observe every completion due by then, run round-end hooks;
+        return everything the nodes emitted.
+
+The shard needs no event kernel.  Token-bucket rates move only in the
+hooks, and a request's completion instant is fixed when it is submitted,
+so a round is two heap drains: arrivals in ``(time, seq)`` order, each
+one submitted and its tenant's next arrival drawn, then the completions
+due by the round's end in ``(time, seq)`` order.  That is the order an
+event kernel would run them in, and the hooks see the same node state.
 
 Nothing in a shard references another shard — node RNG streams are
 spawned for the *whole cluster* and indexed by node id, metrics are
@@ -18,12 +26,12 @@ different worker process) produces bit-identical outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 
 from repro.cluster.arbitration import ARBITRATION
 from repro.cluster.bus import Message, Outbox, route
 from repro.cluster.node import NodeReport, NodeState
 from repro.obs.metrics import Registry
-from repro.simkernel import Simulation
 from repro.util.rng import spawn_rngs
 
 __all__ = ["ShardRuntime", "ShardResult"]
@@ -36,6 +44,8 @@ class ShardResult:
     shard_id: int
     reports: tuple[NodeReport, ...]
     registry: Registry
+    #: The model's events: one start per tenant, one per arrival served
+    #: and one per completion observed by the shard's last round end.
     events_executed: int
     sim_time: float
 
@@ -46,17 +56,38 @@ class ShardRuntime:
     def __init__(self, config, shard_id: int) -> None:
         self.config = config
         self.shard_id = shard_id
-        self.sim = Simulation()
         self.registry = Registry()
+        self.now = 0.0
+        self._request_bytes = float(config.request_bytes)
         # Spawn the full cluster's RNG fan-out and keep only this shard's
         # streams: node i's randomness is a function of (seed, i), never
         # of the shard layout — repartitioning cannot move anyone's dice.
         rngs = spawn_rngs(config.seed, config.n_nodes)
         self.nodes: list[NodeState] = []
+        # Each tenant's next arrival, ``(time, seq, node, rng, mean)``.
+        # ``seq`` is unique, so heap comparisons never reach ``node``;
+        # it grows in the order arrivals are drawn, which breaks ties
+        # first-drawn first.  The first draws run in node order, then
+        # tenant order.  ``mean * standard_exponential()`` and ``0.5 +
+        # random()`` are the IEEE operations numpy's ``exponential(mean)``
+        # and ``uniform(0.5, 1.5)`` perform on the same draws
+        # (tests/test_util_rng.py pins the identity).
+        self._arrivals: list[tuple] = []
         for node_id in config.nodes_of_shard(shard_id):
-            node = NodeState(config, node_id, self.sim, self.registry, rngs[node_id])
+            node = NodeState(config, node_id, self.registry, rngs[node_id])
             node.arbiter = ARBITRATION.create(config.arbitration, config, node_id)
             self.nodes.append(node)
+            mean = node.mean_interarrival
+            for rng in node.tenant_rngs:
+                self._arrivals.append(
+                    (mean * rng.standard_exponential(), len(self._arrivals), node, rng, mean)
+                )
+        heapify(self._arrivals)
+        self._seq = len(self._arrivals)
+        # Submitted requests not yet observed, ``(done, seq, node,
+        # nbytes, arrival)`` with ``seq`` from the same counter.
+        self._completions: list[tuple] = []
+        self.events_executed = len(self._arrivals)  # one start per tenant
 
     def advance_round(
         self, round_idx: int, inbound: list[Message]
@@ -69,8 +100,11 @@ class ShardRuntime:
         (``(node_id, rate)`` after the round-end hooks) feed the
         kernel's conservation audit; ``None`` when round stats are off.
         """
+        # Both boundaries are ``k * round_interval`` evaluated fresh, so
+        # this round starts exactly where the last one ended and the
+        # last one ends exactly on ``config.horizon``.
         start = round_idx * self.config.round_interval
-        end = start + self.config.round_interval
+        end = (round_idx + 1) * self.config.round_interval
         inboxes = route(inbound)
         outboxes: list[Outbox] = []
         for node in self.nodes:
@@ -79,11 +113,12 @@ class ShardRuntime:
             node.msgs_received += len(inbox)
             outbox = Outbox(src=node.id, time=start)
             outboxes.append(outbox)
-            node.arbiter.on_round_start(node, inbox, self.sim.now, outbox.emit)
-        self.sim.run(until=end)
+            node.arbiter.on_round_start(node, inbox, start, outbox.emit)
+        self._serve(end)
+        self.now = end
         for node, outbox in zip(self.nodes, outboxes):
             outbox.time = end
-            node.arbiter.on_round_end(node, self.sim.now, outbox.emit)
+            node.arbiter.on_round_end(node, end, outbox.emit)
         emitted: list[Message] = []
         for node, outbox in zip(self.nodes, outboxes):
             node.msgs_sent += len(outbox.messages)
@@ -92,15 +127,42 @@ class ShardRuntime:
             return emitted, None
         return emitted, tuple((node.id, node.rate) for node in self.nodes)
 
+    def _serve(self, end: float) -> None:
+        """Serve every arrival due by ``end``, then observe every
+        completion due by ``end``.
+
+        A completion never precedes its own arrival, so each one due by
+        ``end`` is already queued when the arrivals are drained.
+        """
+        arrivals = self._arrivals
+        completions = self._completions
+        request_bytes = self._request_bytes
+        seq = seq0 = self._seq
+        while arrivals[0][0] <= end:
+            now, _, node, rng, mean = arrivals[0]
+            nbytes = request_bytes * (0.5 + rng.random())
+            heappush(completions, (node.submit(nbytes, now), seq, node, nbytes, now))
+            heapreplace(
+                arrivals, (now + mean * rng.standard_exponential(), seq, node, rng, mean)
+            )
+            seq += 1
+        self._seq = seq
+        done = 0
+        while completions and completions[0][0] <= end:
+            t_done, _, node, nbytes, arrival = heappop(completions)
+            node.complete(nbytes, arrival, t_done)
+            done += 1
+        self.events_executed += seq - seq0 + done
+
     def finalize(self) -> ShardResult:
         """Fold node totals into the registry and ship the shard outcome."""
-        now = self.sim.now
+        now = self.now
         for node in self.nodes:
             node.fold_metrics()
         return ShardResult(
             shard_id=self.shard_id,
             reports=tuple(node.report(now) for node in self.nodes),
             registry=self.registry,
-            events_executed=self.sim.events_executed,
+            events_executed=self.events_executed,
             sim_time=now,
         )

@@ -10,13 +10,19 @@ Two properties the whole ``repro.cluster`` design exists to uphold:
   counts, and the per-round rate timeline, so any scheduling leak —
   delivery order, merge order, RNG placement — trips it.
 
-* **Pinned 1-shard parity** — a 1-shard cluster is just a plain
-  :class:`~repro.simkernel.Simulation` hosting every node, so its
-  fingerprint is pinned to a recorded constant (the same style as
-  ``test_dataplane_guard.py``).  A changed hash means node-level
-  behaviour changed for *everyone*, not just a sharding bug.  The
-  benchmark's ``cluster_rounds`` shape is pinned the same way, so a
-  speed-up claimed there is checked against the results it produced.
+* **Pinned 1-shard parity** — a 1-shard cluster is one shard loop
+  serving every node, so its fingerprint is pinned to a recorded
+  constant (the same style as ``test_dataplane_guard.py``).  A changed
+  hash means node-level behaviour changed for *everyone*, not just a
+  sharding bug.  The benchmark's ``cluster_rounds`` shape is pinned the
+  same way, so a speed-up claimed there is checked against the results
+  it produced.
+
+The fingerprints pin the order a shard serves simultaneous events in
+only where events tie, which real draws almost never do, so stub
+tenants with dyadic draws (``TestDyadicTies``) make them tie.  A
+test-only policy (``TestHookObservations``) pins every node field the
+round-boundary hooks see.
 
 Re-recording policy: the pinned hashes move together with any
 intentional change to node demand generation, token-bucket semantics,
@@ -25,15 +31,28 @@ running the printed config through ``ClusterResult.fingerprint()`` and
 explain the behaviour change in the commit that moves them.
 """
 
+import ast
 import builtins
+import gc
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.cluster import ClusterConfig, make_shard_pool, run_cluster
-from repro.util.units import KiB
+import repro.cluster
+from repro.cluster import (
+    ARBITRATION,
+    AdaptiveTokenBorrowing,
+    ClusterConfig,
+    make_shard_pool,
+    register_arbitration,
+    run_cluster,
+)
+from repro.util.units import KiB, MiB
 from tests.float_sums import neumaier_sum
 
-#: The pinned 1-shard scenario: every node on one plain Simulation.
+#: The pinned 1-shard scenario: every node on one shard.
 PARITY_CONFIG = ClusterConfig(
     n_nodes=8, shards=1, tenants_per_node=2, rounds=10, seed=7
 )
@@ -147,3 +166,225 @@ class TestWorkerCountInvariance:
         finally:
             if pool is not None:
                 pool.close()
+
+
+# -- ties: stub tenants with dyadic draws -------------------------------
+
+#: Draws the stub tenants cycle through.  Every one is a short binary
+#: fraction, and so is every mean interarrival of ``DYADIC_CONFIG``, so
+#: arrival times are exact: tenants and nodes arrive at the same instant
+#: and land exactly on round ends.  A zero interarrival puts a tenant's
+#: next arrival at the instant of the one just served.
+_UNIFORMS = (0.0, 0.5, 0.25, 0.75)
+_EXPONENTIALS = (0.5, 1.0, 0.0, 0.25, 2.0, 0.25)
+
+
+class _DyadicTenant:
+    """A tenant RNG stand-in: ``random`` and ``standard_exponential``
+    cycle through fixed dyadic draws, starting at the tenant's phase."""
+
+    def __init__(self, phase: int) -> None:
+        self._u = phase
+        self._e = phase
+
+    def random(self) -> float:
+        self._u += 1
+        return _UNIFORMS[self._u % len(_UNIFORMS)]
+
+    def standard_exponential(self) -> float:
+        self._e += 1
+        return _EXPONENTIALS[self._e % len(_EXPONENTIALS)]
+
+
+def _dyadic_tenants(_rng, n: int) -> list[_DyadicTenant]:
+    """Stands in for ``spawn_rngs`` at a node's tenant fan-out."""
+    return [_DyadicTenant(i) for i in range(n)]
+
+
+#: Fair share 1 MiB/s, 256 KiB requests and demand 2x (hot) or 0.5x
+#: (cold) fair share: mean interarrivals are powers of two at 2 and 4
+#: tenants per node, and so are service times at a 16 MiB/s device.
+DYADIC_CONFIG = ClusterConfig(
+    n_nodes=8,
+    shards=1,
+    tenants_per_node=2,
+    rounds=10,
+    cluster_rate=8 * MiB,
+    request_bytes=256 * KiB,
+    node_peak_bw=16 * MiB,
+    hot_demand=2.0,
+    cold_demand=0.5,
+    slo_latency_s=1.0,
+)
+#: ``(policy, shards, tenants_per_node)`` -> fingerprint under the stub.
+#: Where a 1- and a 2-shard pin differ, only the merged ``"all"`` latency
+#: sum does: it adds the shards' partial sums in another order.
+DYADIC_FINGERPRINTS = {
+    ("centralized", 1, 2): "38c6be4e816f7bc363614f8dc24c6bbeca176b5ecd3cd87070e1e780b880ff76",
+    ("centralized", 2, 2): "cd1f723452c4feb59c46aa54afb111c6fa85cfe8f430b734b2b36a5d6571caa0",
+    ("centralized", 1, 4): "4c94617bd5471dbd65fc21a93219f3cf96bba4ede6bd22662ae65db99b2b88c7",
+    ("centralized", 2, 4): "816f14e89bcc7a1a180f463deac8f232ba2b3a8f6159c185fc33ccf2449c1716",
+    ("adaptbf", 1, 2): "37cad373dfe5dbac680ab16fd823ceda61a425efbb0f219bdfe6c18b450544f8",
+    ("adaptbf", 2, 2): "37cad373dfe5dbac680ab16fd823ceda61a425efbb0f219bdfe6c18b450544f8",
+    ("adaptbf", 1, 4): "132960674726d1d3b223dfaec96639e997c11195f319c73998e94d7d9fdcb793",
+    ("adaptbf", 2, 4): "ca5eb07ff52ee6c8eb7b44abe5c2181c28b53419d2ef38375f9e59dbd69b09a9",
+}
+
+
+class TestDyadicTies:
+    """Pins for the order a shard serves simultaneous events in.
+
+    Real RNG draws almost never tie, so the pins above cannot see the
+    order in which same-instant arrivals reserve from a node's bucket,
+    nor whether an arrival exactly at a round end counts in that round.
+    The stub tenants make both happen every round.  Completion-order
+    ties stay uncovered: dyadic latencies sum exactly in any order, so
+    no pin here moves when completions due at one instant swap.
+    """
+
+    @pytest.mark.parametrize("key", sorted(DYADIC_FINGERPRINTS), ids=str)
+    def test_fingerprint(self, key, monkeypatch):
+        policy, shards, tenants = key
+        monkeypatch.setattr("repro.cluster.node.spawn_rngs", _dyadic_tenants)
+        cfg = DYADIC_CONFIG.with_(
+            arbitration=policy, shards=shards, tenants_per_node=tenants
+        )
+        assert run_cluster(cfg).fingerprint() == DYADIC_FINGERPRINTS[key]
+
+
+# -- what the arbitration hooks see -------------------------------------
+
+
+class _HookProbe(AdaptiveTokenBorrowing):
+    """Token borrowing that records the node state each hook sees."""
+
+    def __init__(self, config, node_id: int, seen: dict) -> None:
+        super().__init__(config, node_id)
+        self._seen = seen.setdefault(node_id, [])
+
+    def _see(self, hook: str, node, now: float) -> None:
+        self._seen.append(
+            [
+                hook,
+                now,
+                node.completions,
+                node.served_bytes,
+                node.violations,
+                node.demand_bytes_round,
+                node.bucket.backlog_bytes(now),
+            ]
+        )
+
+    def on_round_start(self, node, inbox, now: float, emit) -> None:
+        self._see("start", node, now)
+        super().on_round_start(node, inbox, now, emit)
+
+    def on_round_end(self, node, now: float, emit) -> None:
+        self._see("end", node, now)
+        super().on_round_end(node, now, emit)
+
+
+@pytest.fixture
+def hook_probe():
+    """Register ``hook-probe`` for one test; yields the per-node records."""
+    seen: dict[int, list] = {}
+    register_arbitration(
+        "hook-probe", lambda config, node_id: _HookProbe(config, node_id, seen)
+    )
+    try:
+        yield seen
+    finally:
+        ARBITRATION.unregister("hook-probe")
+
+
+def _seen_digest(seen: dict) -> str:
+    blob = json.dumps(sorted(seen.items()))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+#: Every hook observation of ``PARITY_CONFIG`` under ``hook-probe``, per
+#: node; a node's records do not depend on the shard layout.
+HOOK_PROBE_DIGEST = (
+    "de00d6291c67aff1bb40f8c26d7b04bf205bf497b1ab53e85924dd5cbdd920f8"
+)
+
+
+class TestHookObservations:
+    """Hooks see the node state the round's events left, exactly.
+
+    A custom policy may read any node field, not only the ones the two
+    built-ins read, so this pins completion counts and served bytes at
+    every boundary as well as demand and backlog.
+    """
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_hooks_see_pinned_state(self, hook_probe, shards):
+        run_cluster(PARITY_CONFIG.with_(arbitration="hook-probe", shards=shards))
+        assert _seen_digest(hook_probe) == HOOK_PROBE_DIGEST
+
+
+# -- round boundaries and leftovers ---------------------------------------
+
+
+@pytest.mark.parametrize("interval", [0.1, 0.37])
+def test_sim_time_lands_on_the_horizon(interval):
+    """Round ``k`` ends at ``(k + 1) * round_interval`` exactly, so a
+    round interval that floats cannot represent still ends on the
+    horizon."""
+    cfg = ClusterConfig(
+        n_nodes=4, shards=2, tenants_per_node=1, round_interval=interval, rounds=6
+    )
+    assert run_cluster(cfg).sim_time == cfg.horizon
+
+
+def test_round_start_hooks_see_the_round_start(hook_probe):
+    cfg = PARITY_CONFIG.with_(arbitration="hook-probe", round_interval=0.1)
+    run_cluster(cfg)
+    for records in hook_probe.values():
+        starts = [rec[1] for rec in records if rec[0] == "start"]
+        ends = [rec[1] for rec in records if rec[0] == "end"]
+        assert starts == [k * 0.1 for k in range(cfg.rounds)]
+        assert ends == [(k + 1) * 0.1 for k in range(cfg.rounds)]
+
+
+#: ``PARITY_CONFIG`` at a 0.1 s round interval (20 rounds), recorded
+#: with boundaries at ``k * 0.1``.  Token borrowing re-rates buckets at
+#: the round-start instant, so its digest moved when that instant stopped
+#: drifting by an ulp from ``k * 0.1``; the centralized one did not.
+SUBSECOND_FINGERPRINTS = {
+    "centralized": "fa7a93372c86b4085312eaa9956324ed716e0ff56918b0b6c380a0d86d5002ad",
+    "adaptbf": "8a81fe4e22bb90404ba590beac15de5c0acf3d5fdf717be04ebfc33a06ccba7c",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(SUBSECOND_FINGERPRINTS))
+def test_subsecond_rounds_pinned(policy):
+    cfg = PARITY_CONFIG.with_(round_interval=0.1, rounds=20, arbitration=policy)
+    assert run_cluster(cfg).fingerprint() == SUBSECOND_FINGERPRINTS[policy]
+
+
+def test_finished_runs_leave_no_cyclic_garbage():
+    """A finished shard is freed by reference counting alone: nothing
+    in it links back to itself, so the cyclic collector finds nothing."""
+    cfg = ClusterConfig(n_nodes=4, shards=2, tenants_per_node=2, rounds=3)
+    gc.collect()
+    gc.disable()
+    try:
+        run_cluster(cfg)
+        run_cluster(cfg.with_(arbitration="adaptbf"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cluster_package_needs_no_event_kernel():
+    """Shards drain their own arrival and completion heaps."""
+    for path in Path(repro.cluster.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not any(n.startswith("repro.simkernel") for n in names), path.name

@@ -2,9 +2,8 @@
 
 Every session now routes device submissions through a
 ``("cgroup", "blkio", "fifo")`` :class:`~repro.dataplane.DataPlane`, so
-these fingerprints — recorded on the pre-dataplane tree — pin the claim
-that with *no policy configured* the plane is invisible: bit-identical
-event sequences, event counts, and byte accounting.
+these guards pin the claim that with *no policy configured* the plane
+is invisible: bit-identical results, event counts, and byte accounting.
 
 Two oracles, chosen for coverage of both regimes:
 
@@ -18,16 +17,26 @@ Two oracles, chosen for coverage of both regimes:
   the *same* fingerprint for both.
 
 Two larger device shapes pin the grouped-dispatch regime (architecture
-§1.2) with the same fingerprint payload:
+§1.2) with the same two checks:
 
 * **stress64** (the stress recipe at 64 streams, 40 s): the array
   sync/solve path under weight churn.
 * **soak256** (``_run_soak``: 256 uniform-weight streams, 10 s, no
   churn): hundreds of same-instant starts and completions per epoch.
 
-If a refactor legitimately changes behaviour these hashes move together
+Each device shape is pinned twice, results apart from mechanism:
+
+* a *result digest* over every request's completion time and byte count,
+  per stream (the workers record them as each request completes), plus
+  the device's ``bytes_moved`` — what a user of the device observes;
+* an *event count*, ``sim.events_executed == N``, asserted separately,
+  so a change that cuts kernel events shows as a moved count with every
+  result digest unchanged.
+
+If a refactor legitimately changes results these digests move together
 with the ones in ``tests/test_engine.py`` and must be re-recorded in the
-same commit, with the diff explained.
+same commit, with the diff explained; a moved event count needs only
+the reason it moved.
 """
 
 import hashlib
@@ -44,13 +53,18 @@ from tests.scalar_oracle import ScalarSimulation
 # Recorded on the seed tree (commit 8be0c54), before repro.dataplane
 # existed.
 FIG07_SEED_HASH = "95a1ac632f4d86427362c2e64cc0828da41a8b7ae66840c9f63d68de8f451c28"
-STRESS16_FAST_HASH = "5e37dea7b88537779c15e3006a1f41b4b743318e840d0a8d85c1a8ad4637c3d8"
-STRESS16_REFERENCE_HASH = (
-    "91ad8ccf78999c2ca13521adbb896c538c4f94082a307565c50f43e2fbed557d"
-)
-# Recorded on commit f2fe524 (515 and 9,591 events).
-STRESS64_HASH = "5b70f2214b9e328c95859acf9f653685bf0c750067a27463548c89b020387f76"
-SOAK256_HASH = "047f05b183cccb60d07f36710a26806e2de4c43fb54274cb07d20fc620918d89"
+
+# Result digests and event counts of the device shapes, recorded on
+# commit 0a31dd9.  The fast device and ReferenceBlockDevice complete
+# every request at the same instant, so each shape has one digest for
+# both; only the reference device's stress16 event count differs.
+STRESS16_DIGEST = "e6af19c578b5d00bb35a34bc1bdbaed2d94dc3c5417fe6196251cb46eae2e783"
+STRESS16_FAST_EVENTS = 522
+STRESS16_REFERENCE_EVENTS = 402
+STRESS64_DIGEST = "e3bce6828ad3f86a049733cfdde8583b01f48c8eaeebc26b451c8e57256f1d4c"
+STRESS64_EVENTS = 515
+SOAK256_DIGEST = "0db498daed022e857f45fd9844f2a770f7bfa7beda60d3619b6dff57ead54511"
+SOAK256_EVENTS = 9_591
 
 
 def _sha(payload: str) -> str:
@@ -68,8 +82,9 @@ def test_fig07_fingerprint_unchanged_by_dataplane():
     assert _sha(payload) == FIG07_SEED_HASH
 
 
-def _fingerprint(sim: Simulation, device: BlockDevice) -> str:
-    return _sha(json.dumps([sim.events_executed, sim.now, device.bytes_moved]))
+def _digest(done: list[list[tuple[float, int]]], device: BlockDevice) -> str:
+    """Result digest: per-stream ``(completion time, bytes)`` + bytes moved."""
+    return _sha(json.dumps([done, device.bytes_moved]))
 
 
 def _run_stress(
@@ -79,12 +94,12 @@ def _run_stress(
     with_plane: bool = False,
     horizon: float = 30.0,
     sim_cls: type[Simulation] = Simulation,
-) -> str:
-    """The blkio stress recipe (n streams + weight churn), fingerprinted.
+) -> tuple[str, int]:
+    """The blkio stress recipe (n streams + weight churn).
 
     Perpetual mixed read/write workers resubmit multi-MiB requests on one
     shared HDD while a churn process rewrites eight blkio weights every
-    250 ms.
+    250 ms.  Returns the result digest and the kernel event count.
     """
     sim = sim_cls()
     device = device_cls(sim, DEVICE_PRESETS["seagate-hdd-2t"])
@@ -96,11 +111,14 @@ def _run_stress(
         for i in range(n_streams)
     ]
 
+    done: list[list[tuple[float, int]]] = [[] for _ in range(n_streams)]
+
     def worker(idx, cgroup):
         direction = "read" if idx % 3 else "write"
         nbytes = (4 + (idx % 4) * 2) * MiB
         while True:
-            yield device.submit(cgroup, nbytes, direction)
+            stats = yield device.submit(cgroup, nbytes, direction)
+            done[idx].append((sim.now, stats.nbytes))
 
     for idx, cgroup in enumerate(cgroups):
         sim.process(worker(idx, cgroup))
@@ -117,15 +135,15 @@ def _run_stress(
 
     sim.process(churn())
     sim.run(until=horizon)
-    return _fingerprint(sim, device)
+    return _digest(done, device), sim.events_executed
 
 
 def _run_soak(
     device_cls: type[BlockDevice] = BlockDevice,
     *,
     sim_cls: type[Simulation] = Simulation,
-) -> str:
-    """The 256-stream soak, fingerprinted at a 10 s horizon.
+) -> tuple[str, int]:
+    """The 256-stream soak at a 10 s horizon: (result digest, events).
 
     Identical workers (weight 500, 1 MiB requests, 2:1 read/write, no
     churn) hammer one shared SSD, so every epoch carries large groups of
@@ -134,64 +152,79 @@ def _run_soak(
     sim = sim_cls()
     device = device_cls(sim, DEVICE_PRESETS["intel-ssd-400"])
     groups = CgroupController()
+    done: list[list[tuple[float, int]]] = [[] for _ in range(256)]
 
-    def worker(cgroup, direction):
+    def worker(idx, cgroup, direction):
         while True:
-            yield device.submit(cgroup, MiB, direction)
+            stats = yield device.submit(cgroup, MiB, direction)
+            done[idx].append((sim.now, stats.nbytes))
 
     for i in range(256):
         cgroup = groups.create(f"soak-{i}", weight=500)
-        sim.process(worker(cgroup, "read" if i % 3 else "write"))
+        sim.process(worker(i, cgroup, "read" if i % 3 else "write"))
 
     sim.run(until=10.0)
-    return _fingerprint(sim, device)
+    return _digest(done, device), sim.events_executed
 
 
 def test_stress16_fast_path_fingerprint():
-    assert _run_stress() == STRESS16_FAST_HASH
+    digest, events = _run_stress()
+    assert digest == STRESS16_DIGEST
+    assert events == STRESS16_FAST_EVENTS
 
 
 def test_stress16_reference_fingerprint():
-    assert _run_stress(ReferenceBlockDevice) == STRESS16_REFERENCE_HASH
+    digest, events = _run_stress(ReferenceBlockDevice)
+    assert digest == STRESS16_DIGEST
+    assert events == STRESS16_REFERENCE_EVENTS
 
 
 def test_stress16_with_default_plane_is_bit_identical():
     """The strong form of zero overhead: attach a policy-free default
-    plane to the stressed device and get the exact same fingerprint."""
-    assert _run_stress(with_plane=True) == STRESS16_FAST_HASH
+    plane to the stressed device and get the exact same results and
+    event count."""
+    assert _run_stress(with_plane=True) == (STRESS16_DIGEST, STRESS16_FAST_EVENTS)
 
 
 def test_stress16_reference_with_plane_is_bit_identical():
     run = _run_stress(ReferenceBlockDevice, with_plane=True)
-    assert run == STRESS16_REFERENCE_HASH
+    assert run == (STRESS16_DIGEST, STRESS16_REFERENCE_EVENTS)
 
 
 def test_stress16_scalar_dispatch_is_bit_identical():
-    """The hashes were recorded under grouped dispatch; the per-entry
+    """The pins were recorded under grouped dispatch; the per-entry
     scalar oracle must reproduce them exactly."""
-    assert _run_stress(sim_cls=ScalarSimulation) == STRESS16_FAST_HASH
+    assert _run_stress(sim_cls=ScalarSimulation) == (
+        STRESS16_DIGEST,
+        STRESS16_FAST_EVENTS,
+    )
 
 
 def test_stress16_reference_scalar_dispatch_is_bit_identical():
     run = _run_stress(ReferenceBlockDevice, sim_cls=ScalarSimulation)
-    assert run == STRESS16_REFERENCE_HASH
+    assert run == (STRESS16_DIGEST, STRESS16_REFERENCE_EVENTS)
 
 
 def test_stress64_fingerprint():
-    assert _run_stress(n_streams=64, horizon=40.0) == STRESS64_HASH
+    digest, events = _run_stress(n_streams=64, horizon=40.0)
+    assert digest == STRESS64_DIGEST
+    assert events == STRESS64_EVENTS
 
 
 def test_stress64_scalar_dispatch_is_bit_identical():
-    assert _run_stress(n_streams=64, horizon=40.0, sim_cls=ScalarSimulation) == STRESS64_HASH
+    run = _run_stress(n_streams=64, horizon=40.0, sim_cls=ScalarSimulation)
+    assert run == (STRESS64_DIGEST, STRESS64_EVENTS)
 
 
 def test_soak256_fingerprint():
-    assert _run_soak() == SOAK256_HASH
+    digest, events = _run_soak()
+    assert digest == SOAK256_DIGEST
+    assert events == SOAK256_EVENTS
 
 
 def test_soak256_scalar_dispatch_is_bit_identical():
-    assert _run_soak(sim_cls=ScalarSimulation) == SOAK256_HASH
+    assert _run_soak(sim_cls=ScalarSimulation) == (SOAK256_DIGEST, SOAK256_EVENTS)
 
 
 def test_soak256_reference_device_is_bit_identical():
-    assert _run_soak(ReferenceBlockDevice) == SOAK256_HASH
+    assert _run_soak(ReferenceBlockDevice) == (SOAK256_DIGEST, SOAK256_EVENTS)
