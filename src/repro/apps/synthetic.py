@@ -21,7 +21,6 @@ compresses them the way it compresses real simulation output.
 from __future__ import annotations
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from repro.util.rng import make_rng
 
@@ -70,6 +69,8 @@ def _turbulent_background(
     shape: tuple[int, int], rng: np.random.Generator, smoothness: float
 ) -> np.ndarray:
     """Gaussian-filtered white noise, normalised to unit standard deviation."""
+    from scipy.ndimage import gaussian_filter
+
     noise = rng.standard_normal(shape)
     field = gaussian_filter(noise, sigma=smoothness, mode="wrap")
     std = field.std()
@@ -123,6 +124,8 @@ def xgc_dpot_volume(
     N-dimensional path (decomposition, ladders, and blob detection all
     operate on arbitrary-rank tensors).
     """
+    from scipy.ndimage import gaussian_filter
+
     rng = make_rng(seed)
     noise = rng.standard_normal(shape)
     field = gaussian_filter(noise, sigma=background_smoothness, mode="wrap")

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from repro.apps.base import AnalyticsApp
 from repro.apps.synthetic import xgc_dpot_field
@@ -61,6 +60,8 @@ def detect_blobs(
     sigma = 1.4826 * mad if mad > 0 else float(field.std())
     if sigma == 0:
         return BlobStats(count=0, mean_diameter=0.0, total_area=0.0, mean_peak=0.0)
+
+    from scipy import ndimage
 
     mask = (field - med) > threshold_sigma * sigma
     labels, n = ndimage.label(mask)

@@ -20,7 +20,12 @@ Nothing in a shard references another shard — node RNG streams are
 spawned for the *whole cluster* and indexed by node id, metrics are
 node-labelled in a private registry, and all coupling rides the returned
 message batch — so the same node partitioned differently (or hosted by a
-different worker process) produces bit-identical outcomes.
+different worker process) produces a bit-identical outcome: its metric
+series, SLO counts, report and rate timeline.  Cluster-wide series are
+another matter: ``run_cluster`` folds the shards' ``node="all"`` latency
+sums in shard order, so their last bits, and with them
+``ClusterResult.fingerprint()``, move with the shard count (never with
+the worker count).
 """
 
 from __future__ import annotations

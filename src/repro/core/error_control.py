@@ -20,6 +20,8 @@ estimate and driven by the incremental probe engine in
 :mod:`repro.core.fastladder` (per-level boundary caching +
 O(Δcut · stencil) SSE updates); the final cut of every rung is
 re-measured with the exact reconstruction, with a monotonicity fix-up.
+That re-measurement resumes from the engine's level-boundary snapshots
+rather than walking up from the base, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -275,32 +277,65 @@ def _reconstruct_stream_at_cut(
     stream_values: np.ndarray,
     level_offsets: np.ndarray,
     cut: int,
+    boundary_states: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """Exact reconstruction from the first ``cut`` stream coefficients.
 
     The reference (slow) reconstruction path; shared by
     :meth:`AccuracyLadder.reconstruct_at_cut` and the exact re-measurement
     inside :func:`build_ladder`.
+
+    ``boundary_states`` are the probe engine's level-boundary snapshots
+    (:attr:`~repro.core.fastladder.LadderProbeEngine.boundary_states`):
+    entry ``k`` is this walk's state right after order ``k``'s
+    prolongation.  With them the walk resumes at the last order that
+    starts at or before ``cut`` instead of at the base; every remaining
+    operation, and so the result, is bit-identical.
     """
     tr = dec.transform_obj
-    current = dec.base.astype(np.float64, copy=True)
+    num_orders = dec.num_levels - 1
+    first = 0
+    if boundary_states:
+        first = int(np.searchsorted(level_offsets[:num_orders], cut, side="right")) - 1
+        current = boundary_states[first].copy()
+    else:
+        current = dec.base.astype(np.float64, copy=True)
     # Walk levels coarsest-to-finest, applying whatever part of each
     # level's coefficients falls below the cut.
-    for order, level in enumerate(range(dec.num_levels - 2, -1, -1)):
+    for order in range(first, num_orders):
+        level = num_orders - 1 - order
         lo = int(level_offsets[order])
         hi = int(level_offsets[order + 1])
         take = min(max(cut - lo, 0), hi - lo)
-        # ascontiguousarray guarantees reshape(-1) below is a *view*:
-        # a non-contiguous prolongation would make reshape silently
-        # copy, and the scatter-add would be lost.
-        current = np.ascontiguousarray(
-            tr.prolongate(current, dec.shapes[level], dec.stride(level))
-        )
+        if order > first or not boundary_states:
+            # ascontiguousarray guarantees reshape(-1) below is a *view*:
+            # a non-contiguous prolongation would make reshape silently
+            # copy, and the scatter-add would be lost.
+            current = np.ascontiguousarray(
+                tr.prolongate(current, dec.shapes[level], dec.stride(level))
+            )
         if take > 0:
             sl = slice(lo, lo + take)
             flat = current.reshape(-1)
             flat[stream_positions[sl]] += stream_values[sl]
     return current
+
+
+def _magnitude_order(vals: np.ndarray) -> np.ndarray:
+    """``np.argsort(-np.abs(vals), kind="stable")``, mostly at the cost of
+    the default sort.
+
+    Strictly increasing sorted keys have exactly one sorting permutation,
+    so the default sort's answer is kept when its keys check strictly
+    increasing.  Only tied keys (equal magnitudes, a ``0.0``/``-0.0``
+    pair, a NaN) pay for the stable sort, which orders ties by index.
+    """
+    keys = -np.abs(vals)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if not np.all(ranked[1:] > ranked[:-1]):
+        order = np.argsort(keys, kind="stable")
+    return order
 
 
 def _build_stream(
@@ -328,7 +363,7 @@ def _build_stream(
             shared[slices] = True
         flat_idx = np.flatnonzero(~shared.reshape(-1))
         vals = aug.reshape(-1)[flat_idx]
-        order = np.argsort(-np.abs(vals), kind="stable")
+        order = _magnitude_order(vals)
         pos_parts.append(flat_idx[order].astype(np.int64))
         val_parts.append(vals[order])
         levels_parts.append(np.full(vals.size, level, dtype=np.int32))
@@ -473,6 +508,17 @@ def build_ladder(
     n = int(stream_values.size)
     stride = max(1, n // _FIXUP_GRID)
 
+    boundary_states = None
+    if method == "hybrid":
+        from repro.core.fastladder import LadderProbeEngine
+
+        engine = scratch["engine"]
+        if engine is None:
+            engine = scratch["engine"] = LadderProbeEngine(
+                dec, stream_positions, stream_values, level_offsets, original
+            )
+        boundary_states = engine.boundary_states
+
     # Exact error evaluator: full reconstruction + metric.  Deduplicated
     # per (metric, cut) — every recorded rung error comes from here, so
     # results are bit-identical to a search that probes exactly.
@@ -482,7 +528,12 @@ def build_ladder(
         hit = exact_cache.get((metric, cut))
         if hit is None:
             rec = _reconstruct_stream_at_cut(
-                dec, stream_positions, stream_values, level_offsets, cut
+                dec,
+                stream_positions,
+                stream_values,
+                level_offsets,
+                cut,
+                boundary_states=boundary_states,
             )
             hit = exact_cache[(metric, cut)] = metric.evaluate(original, rec)
         return hit
@@ -490,13 +541,6 @@ def build_ladder(
     base_error = exact_err(0)
 
     if method == "hybrid":
-        from repro.core.fastladder import LadderProbeEngine
-
-        engine = scratch["engine"]
-        if engine is None:
-            engine = scratch["engine"] = LadderProbeEngine(
-                dec, stream_positions, stream_values, level_offsets, original
-            )
         rng, peak = scratch["range"], scratch["peak"]
         probe_cache: dict[int, float] = {}
 

@@ -202,6 +202,12 @@ class LadderProbeEngine:
         self._sse = sse
         self._cut = self.stream_length
 
+    @property
+    def boundary_states(self) -> list[np.ndarray]:
+        """Entry ``k``: the reconstruction on order ``k``'s grid with every
+        coarser order scattered in full (read-only by convention)."""
+        return self._boundary_states
+
     # -- contribution tables ----------------------------------------------
 
     def _order_table(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:

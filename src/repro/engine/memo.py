@@ -99,6 +99,10 @@ def ladder_for_app(
             _hits += 1
             return hit
         _misses += 1
+        # Make room before building, so a full cache never holds its
+        # entries, this build's scratch and the new entry all at once.
+        while len(_cache) >= _MAX_ENTRIES:
+            _cache.popitem(last=False)
     data = app.generate(grid_shape, seed=seed)
     data.setflags(write=False)
     levels = levels_for_decimation(data.shape, decimation_ratio)

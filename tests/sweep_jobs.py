@@ -21,3 +21,10 @@ def sleep_job(i: int) -> int:
 
 def pid_job(_: object) -> int:
     return os.getpid()
+
+
+def first_slow_job(i: int) -> int:
+    """Job 0 pays a one-off cost, like a lazy import; the rest are free."""
+    if i == 0:
+        time.sleep(SLEEP_S)
+    return i

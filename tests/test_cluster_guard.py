@@ -255,6 +255,39 @@ class TestDyadicTies:
 # -- what the arbitration hooks see -------------------------------------
 
 
+class TestPartitionInvariance:
+    """A node's outcome does not depend on how nodes are sharded.
+
+    The fingerprint does: the merged ``node="all"`` latency series adds
+    the shards' partial sums in shard order (see the comment on
+    ``DYADIC_FINGERPRINTS``), so that series is left out here.
+    """
+
+    @staticmethod
+    def _per_node(result):
+        metrics = {
+            name: [row for row in m["series"] if row["labels"].get("node") != "all"]
+            for name, m in result.registry.snapshot().items()
+        }
+        return {
+            "metrics": metrics,
+            "slo_board": result.slo_board(),
+            "reports": result.reports,
+            "round_rates": result.round_rates,
+            "events_executed": result.events_executed,
+            "messages_by_kind": result.messages_by_kind,
+        }
+
+    @pytest.mark.parametrize("policy", ["centralized", "adaptbf"])
+    def test_per_node_outcomes_match_across_shard_counts(self, policy):
+        cfg = PARITY_CONFIG.with_(arbitration=policy, collect_round_stats=True)
+        one = self._per_node(run_cluster(cfg))
+        assert len(one["metrics"]["cluster.latency_s"]) == cfg.n_nodes
+        for shards in (2, 4):
+            got = self._per_node(run_cluster(cfg.with_(shards=shards)))
+            assert got == one, f"{shards} shards"
+
+
 class _HookProbe(AdaptiveTokenBorrowing):
     """Token borrowing that records the node state each hook sees."""
 

@@ -200,6 +200,40 @@ class TestMemoCache:
         memo.clear_cache()
         assert memo.cache_info() == {"hits": 0, "misses": 0, "size": 0}
 
+    def test_full_cache_evicts_least_recently_used_before_building(self, monkeypatch):
+        from repro.apps import make_app
+
+        memo.clear_cache()
+        monkeypatch.setattr(memo, "_MAX_ENTRIES", 2)
+        sizes_at_build = []
+        real_build = memo.build_ladder
+
+        def recording_build(*args, **kwargs):
+            sizes_at_build.append(memo.cache_info()["size"])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(memo, "build_ladder", recording_build)
+        app = make_app("xgc")
+        kwargs = dict(
+            grid_shape=(32, 32),
+            decimation_ratio=4,
+            metric=ScenarioConfig(max_steps=1).metric,
+            error_bounds=(0.1,),
+        )
+        memo.ladder_for_app(app, seed=1, **kwargs)
+        memo.ladder_for_app(app, seed=2, **kwargs)
+        memo.ladder_for_app(app, seed=1, **kwargs)  # hit: seed 1 is now most recent
+        memo.ladder_for_app(app, seed=3, **kwargs)
+        # The third key was built with one entry held, not two.
+        assert sizes_at_build == [0, 1, 1]
+        assert memo.cache_info() == {"hits": 1, "misses": 3, "size": 2}
+        # Seed 2 was the least recently used, so it went; seed 1 stayed.
+        memo.ladder_for_app(app, seed=1, **kwargs)
+        assert memo.cache_info()["hits"] == 2
+        memo.ladder_for_app(app, seed=2, **kwargs)
+        assert memo.cache_info()["misses"] == 4
+        memo.clear_cache()
+
     def test_cached_field_is_read_only(self):
         from repro.apps import make_app
 
@@ -442,8 +476,8 @@ class TestSweepExecutor:
         reason="speedup needs at least two CPUs",
     )
     def test_parallel_speedup_once_work_dominates(self):
-        # Sleeping jobs keep this independent of CPU speed: job 0's time
-        # projects a saving well above the start-up, so the other seven
+        # Sleeping jobs keep this independent of CPU speed: jobs 0 and 1
+        # each project a saving well above the start-up, so the other six
         # go to one pool and the map beats the serial sum.
         jobs = list(range(8))
         t0 = time.perf_counter()
@@ -521,11 +555,13 @@ class TestSweepExecutorWarmPool:
             assert ex.pool_creations == 2
 
     def test_first_job_runs_in_the_parent(self):
+        # Job 0 projects a saving, so job 1 is timed here too before the
+        # rest go to the pool.
         with SweepExecutor(workers=2) as ex:
             pids = ex.map(sweep_jobs.pid_job, range(4))
             assert ex.pool_creations == 1
-        assert pids[0] == os.getpid()
-        assert all(pid != os.getpid() for pid in pids[1:])
+        assert pids[:2] == [os.getpid()] * 2
+        assert all(pid != os.getpid() for pid in pids[2:])
 
 
 class TestSweepGate:
@@ -535,6 +571,14 @@ class TestSweepGate:
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
         with SweepExecutor(workers=2) as ex:
             assert ex.map(_square, range(6)) == [x * x for x in range(6)]
+            assert ex.pool_creations == 0
+
+    def test_one_off_cost_in_job_0_starts_no_pool(self, monkeypatch):
+        # Job 0 alone projects (7 - 4) x 0.6 s saved, above the start-up;
+        # job 1 shows the rest cost nothing, so they stay here.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
+        with SweepExecutor(workers=2) as ex:
+            assert ex.map(sweep_jobs.first_slow_job, range(8)) == list(range(8))
             assert ex.pool_creations == 0
 
     def test_telemetry_records_serial_path_and_first_job(self):
