@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field as _dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -151,21 +152,59 @@ class AugmentationBucket:
         return self.cardinality * self.bytes_per_coefficient
 
 
+class _StreamDecomposition(Decomposition):
+    """A ladder's decomposition: the base and the geometry, backed by the
+    ladder's coefficient stream ``(positions, values, level_offsets)``.
+
+    The dense augmentations are scattered from the stream into zeros on
+    their first read (the inverse of :func:`_build_stream`, so points the
+    stream does not hold come back as 0) and kept from then on.  Geometry
+    reads (shapes, strides, ``num_levels``, the base) never build them.
+    """
+
+    def __init__(
+        self,
+        base: np.ndarray,
+        shapes: list[tuple[int, ...]],
+        d: int | tuple[int, ...],
+        dtype_nbytes: int,
+        transform: str,
+        stream: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        self.base, self.shapes, self.d = base, shapes, d
+        self.dtype_nbytes, self.transform = dtype_nbytes, transform
+        self._stream = stream
+
+    @cached_property
+    def augmentations(self) -> list[np.ndarray]:
+        positions, values, offsets = self._stream
+        augs = [np.zeros(shape, dtype=self.base.dtype) for shape in self.shapes[:-1]]
+        for order, aug in enumerate(reversed(augs)):
+            lo, hi = int(offsets[order]), min(int(offsets[order + 1]), values.size)
+            if hi > lo:
+                aug.reshape(-1)[positions[lo:hi]] = values[lo:hi]
+        return augs
+
+
 class AccuracyLadder:
-    """A decomposition plus its error-bound buckets, ready for staged retrieval.
+    """A coefficient stream plus its error-bound buckets, ready for staged
+    retrieval.
 
     The ladder owns the global coefficient stream (coarsest augmentation
     first, each level's coefficients sorted by |value| descending) and the
     cut positions realising each error bound.  It can reconstruct the data
     at any rung, report per-rung cardinalities/bytes for the storage layer,
     and compute the retrieved degree-of-freedom fraction (Fig. 11).
+
+    ``decomposition`` keeps the base and the geometry; its dense
+    augmentations are built from the stream on first read
+    (:class:`_StreamDecomposition`), which nothing on the run path does.
     """
 
     def __init__(
         self,
         decomposition: Decomposition,
         budget: ErrorBudget,
-        stream_levels: np.ndarray,
         stream_positions: np.ndarray,
         stream_values: np.ndarray,
         level_offsets: np.ndarray,
@@ -174,7 +213,6 @@ class AccuracyLadder:
     ) -> None:
         self.decomposition = decomposition
         self.budget = budget
-        self._stream_levels = stream_levels
         self._stream_positions = stream_positions
         self._stream_values = stream_values
         self._level_offsets = level_offsets
@@ -338,16 +376,15 @@ def _magnitude_order(vals: np.ndarray) -> np.ndarray:
     return order
 
 
-def _build_stream(
-    dec: Decomposition,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _build_stream(dec: Decomposition) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sort each level's non-shared coefficients by |value| descending and
     concatenate coarsest-level-first.
 
-    Returns (levels, flat_positions, values, level_offsets); positions index
-    into the *fine* grid of each augmentation's own level.
+    Returns (flat_positions, values, level_offsets); positions index into
+    the *fine* grid of each augmentation's own level, and the coefficients
+    of order ``k`` (level ``L-2-k``) lie in
+    ``[level_offsets[k], level_offsets[k+1])``.
     """
-    levels_parts: list[np.ndarray] = []
     pos_parts: list[np.ndarray] = []
     val_parts: list[np.ndarray] = []
     offsets = [0]
@@ -366,20 +403,16 @@ def _build_stream(
         order = _magnitude_order(vals)
         pos_parts.append(flat_idx[order].astype(np.int64))
         val_parts.append(vals[order])
-        levels_parts.append(np.full(vals.size, level, dtype=np.int32))
         offsets.append(offsets[-1] + vals.size)
     if pos_parts:
         return (
-            np.concatenate(levels_parts),
             np.concatenate(pos_parts),
             np.concatenate(val_parts),
             np.asarray(offsets, dtype=np.int64),
         )
-    empty = np.asarray([], dtype=np.int64)
     return (
-        empty.astype(np.int32),
-        empty,
-        empty.astype(np.float64),
+        np.asarray([], dtype=np.int64),
+        np.asarray([], dtype=np.float64),
         np.asarray([0], dtype=np.int64),
     )
 
@@ -432,11 +465,10 @@ def _ladder_scratch(dec: Decomposition, original: np.ndarray | None) -> dict:
 def release_ladder_scratch(dec: Decomposition) -> None:
     """Drop ``dec``'s ladder-construction scratch, if it has any.
 
-    A built ladder keeps its own stream arrays, so the scratch only
-    matters to later :func:`build_ladder` calls on the same
-    decomposition.  Callers that build one ladder per decomposition (the
-    engine memo) release it to keep just what the ladder reads;
-    benchmarks release it to time a cold build.
+    A built ladder keeps its own stream arrays and not ``dec``, so the
+    scratch only matters to later :func:`build_ladder` calls on the same
+    decomposition, and it is freed with ``dec``.  Benchmarks release it
+    to time a cold build.
     """
     vars(dec).pop("_ladder_scratch", None)
 
@@ -486,9 +518,11 @@ def build_ladder(
     Construction scratch — the sorted stream, the recomposed tensor, the
     probe engine, and exact per-cut errors — is cached on the
     decomposition (:func:`_ladder_scratch`), because Fig. 11 rebuilds
-    ladders for the same decomposition under many bound sets.
-    :func:`release_ladder_scratch` drops it once no further build is
-    coming.
+    ladders for the same decomposition under many bound sets.  The
+    returned ladder does not reference ``dec``: it keeps the stream, and
+    its :attr:`~AccuracyLadder.decomposition` keeps only the base and the
+    geometry, so dropping ``dec`` frees the dense augmentations and the
+    scratch.
     """
     if method not in LADDER_METHODS:
         raise ValueError(
@@ -503,7 +537,7 @@ def build_ladder(
             )
     budget = ErrorBudget.create(metric, error_bounds)
     scratch = _ladder_scratch(dec, original)
-    stream_levels, stream_positions, stream_values, level_offsets = scratch["stream"]
+    stream_positions, stream_values, level_offsets = scratch["stream"]
     original = scratch["original"]
     n = int(stream_values.size)
     stride = max(1, n // _FIXUP_GRID)
@@ -592,7 +626,11 @@ def build_ladder(
                 stride=stride,
                 seed=seed,
             )
-        finest = int(stream_levels[cut - 1]) if cut > 0 else dec.num_levels - 1
+        # L(ε_m): the level of the last coefficient taken (order k is
+        # level L-2-k), or the base level L-1 for a cut that takes none.
+        finest = dec.num_levels - 1 - int(
+            np.searchsorted(level_offsets, cut - 1, side="right")
+        )
         buckets.append(
             AugmentationBucket(
                 index=m,
@@ -605,10 +643,13 @@ def build_ladder(
             )
         )
         prev_cut = max(prev_cut, cut)
+    stream = (stream_positions, stream_values, level_offsets)
     return AccuracyLadder(
-        decomposition=dec,
+        # The stream, the base and the geometry; not ``dec`` itself.
+        decomposition=_StreamDecomposition(
+            dec.base, dec.shapes, dec.d, dec.dtype_nbytes, dec.transform, stream
+        ),
         budget=budget,
-        stream_levels=stream_levels,
         stream_positions=stream_positions,
         stream_values=stream_values,
         level_offsets=level_offsets,

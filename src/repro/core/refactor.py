@@ -161,7 +161,9 @@ class Decomposition:
     augmentations:
         ``augmentations[l]`` is ``Aug^l`` elevating level ``l+1`` to ``l``
         for ``l = 0 .. L-2`` (finest first).  Stored dense, with exact zeros
-        at grid points shared between the two levels.
+        at grid points shared between the two levels.  A ladder's
+        decomposition builds them from its coefficient stream on first
+        read; every other attribute is geometry and never does.
     shapes:
         ``shapes[l]`` is the grid shape of ``Ω^l``; ``shapes[0]`` is the
         original shape.
@@ -223,11 +225,10 @@ class Decomposition:
 
     def aug_nonzero_count(self, level: int) -> int:
         """Number of explicitly-stored (non-shared) points in ``Aug^level``."""
-        aug = self.augmentations[level]
+        size = int(np.prod(self.shapes[level]))
         if not self.transform_obj.has_shared_points:
-            return int(aug.size)
-        shared = restrict(np.ones(self.shapes[level]), self.stride(level)).size
-        return int(aug.size - shared)
+            return size
+        return size - int(np.prod(self.shapes[level + 1]))
 
     def __post_init__(self) -> None:
         if len(self.augmentations) != len(self.shapes) - 1:

@@ -12,8 +12,9 @@ format for an :class:`~repro.core.error_control.AccuracyLadder`:
 
 The wire format is always float64 (float32 values widen exactly), so
 payload sizes are dtype-independent; ``dtype_nbytes`` records the
-*logical* precision, and unpacking casts the base, the augmentations and
-the value stream back to it so a float32 decomposition round-trips as
+*logical* precision, and unpacking casts the base and the value stream
+back to it (and with them the dense augmentations, scattered from the
+stream when first read) so a float32 decomposition round-trips as
 float32.
 
 Because the stream is interleaved record-by-record, **any byte prefix of
@@ -37,8 +38,8 @@ from repro.core.error_control import (
     AugmentationBucket,
     ErrorBudget,
     ErrorMetric,
+    _StreamDecomposition,
 )
-from repro.core.refactor import Decomposition
 
 __all__ = [
     "pack_ladder",
@@ -162,7 +163,6 @@ def unpack_partial(payload: bytes) -> AccuracyLadder:
 def _unpack(payload: bytes) -> tuple[AccuracyLadder, int, int]:
     header = header_of(payload)
     shapes = [tuple(s) for s in header["shapes"]]
-    num_levels = len(shapes)
     stream = int(header["stream_length"])
     dtype_nbytes = int(header.get("dtype_nbytes", 8))
     work_dtype = np.float32 if dtype_nbytes == 4 else np.float64
@@ -184,12 +184,7 @@ def _unpack(payload: bytes) -> tuple[AccuracyLadder, int, int]:
     )
     positions = records["pos"].astype(np.int64)
     values = records["val"].astype(work_dtype)
-
     level_offsets = np.asarray(header["level_offsets"], dtype=np.int64)
-    levels = np.zeros(available, dtype=np.int32)
-    for order in range(len(level_offsets) - 1):
-        lo, hi = int(level_offsets[order]), int(level_offsets[order + 1])
-        levels[lo : min(hi, available)] = num_levels - 2 - order
 
     metric = ErrorMetric(header["metric"])
     buckets = [
@@ -206,32 +201,20 @@ def _unpack(payload: bytes) -> tuple[AccuracyLadder, int, int]:
     ]
     budget = ErrorBudget.create(metric, [b["bound"] for b in header["buckets"]])
 
-    # Rebuild dense augmentations from the available coefficients so the
-    # whole refactor API (recompose_full etc.) works on the result.
-    dec = Decomposition(
-        base=np.array(base, dtype=work_dtype),
-        augmentations=[
-            np.zeros(shapes[lvl], dtype=work_dtype) for lvl in range(num_levels - 1)
-        ],
-        shapes=shapes,
-        d=(header["stride"] if isinstance(header["stride"], int)
-           else tuple(header["stride"])),
-        dtype_nbytes=dtype_nbytes,
-        transform=header.get("transform", "linear"),
+    # The dense augmentations are scattered from the available
+    # coefficients when first read, so the whole refactor API
+    # (recompose_full etc.) works on the result.
+    dec = _StreamDecomposition(
+        np.array(base, dtype=work_dtype),
+        shapes,
+        header["stride"] if isinstance(header["stride"], int) else tuple(header["stride"]),
+        dtype_nbytes,
+        header.get("transform", "linear"),
+        (positions, values, level_offsets),
     )
-    for order in range(len(level_offsets) - 1):
-        lo = int(level_offsets[order])
-        hi = min(int(level_offsets[order + 1]), available)
-        if hi <= lo:
-            continue
-        level = num_levels - 2 - order
-        flat = dec.augmentations[level].reshape(-1)
-        flat[positions[lo:hi]] = values[lo:hi]
-
     ladder = AccuracyLadder(
         decomposition=dec,
         budget=budget,
-        stream_levels=levels,
         stream_positions=positions,
         stream_values=values,
         level_offsets=level_offsets,

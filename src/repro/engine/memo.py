@@ -15,13 +15,14 @@ accidental in-place mutation (which would silently corrupt later cache
 hits) raises instead.  The cache is per-process: parallel sweep workers
 each warm their own.
 
-An entry keeps only what its ladder reads.  ``build_ladder`` caches
-construction scratch on the decomposition (probe-engine tables, boundary
-states, exact per-cut errors) for callers that rebuild under other
-bounds; the memo builds one ladder per decomposition, so it releases
-that scratch, which is about two thirds of a fresh entry.  Entries hold
-no reference cycles, so :func:`clear_cache` and LRU eviction free them
-at once, without waiting for a garbage collection.
+An entry keeps only the field and the ladder, and the ladder keeps only
+its coefficient stream and the base: it does not reference the dense
+decomposition it was cut from.  That decomposition, with the
+construction scratch ``build_ladder`` caches on it (probe-engine tables,
+boundary states, exact per-cut errors), is freed by reference counting
+when the build returns.  Entries hold no reference cycles, so
+:func:`clear_cache` and LRU eviction free them at once, without waiting
+for a garbage collection.
 """
 
 from __future__ import annotations
@@ -32,20 +33,14 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.apps.base import AnalyticsApp
-from repro.core.error_control import (
-    AccuracyLadder,
-    ErrorMetric,
-    build_ladder,
-    release_ladder_scratch,
-)
+from repro.core.error_control import AccuracyLadder, ErrorMetric, build_ladder
 from repro.core.refactor import decompose, levels_for_decimation
 
 __all__ = ["ladder_for_app", "cache_info", "clear_cache"]
 
-#: Bounded LRU: a 256x256 float64 field plus its ladder (the
-#: decomposition and the sorted coefficient stream; the construction
-#: scratch is released) retains 2.3 MiB per entry, measured with
-#: tracemalloc, so a full cache holds ~74 MiB.
+#: Bounded LRU: a 256x256 float64 field plus its ladder (the sorted
+#: coefficient stream; the base is a view of the field) retains 1.44 MiB
+#: per entry, measured with tracemalloc, so a full cache holds ~46 MiB.
 _MAX_ENTRIES = 32
 
 _lock = threading.Lock()
@@ -106,11 +101,9 @@ def ladder_for_app(
     data = app.generate(grid_shape, seed=seed)
     data.setflags(write=False)
     levels = levels_for_decimation(data.shape, decimation_ratio)
-    dec = decompose(data, levels)
-    ladder = build_ladder(dec, list(error_bounds), metric, original=data)
-    # One ladder per decomposition: nothing rebuilds from this one, so
-    # the entry keeps only what the ladder reads.
-    release_ladder_scratch(dec)
+    ladder = build_ladder(
+        decompose(data, levels), list(error_bounds), metric, original=data
+    )
     with _lock:
         _cache[key] = (data, ladder)
         _cache.move_to_end(key)

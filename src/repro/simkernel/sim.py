@@ -139,12 +139,6 @@ class Simulation:
         # entries delivered through them.
         self._group_calls = 0
         self._grouped_events = 0
-        # peek() skip cache: entries in ``_ready[_ready_idx:_peek_skip]``
-        # were all observed cancelled by an earlier peek (cancellation is
-        # one-way, so the observation stays valid); ``_peek_scans``
-        # counts entries examined — pinned by the peek cost tests.
-        self._peek_skip = 0
-        self._peek_scans = 0
         # Unhandled-failure detection (see events.Event.fail).
         self._failure_mode = on_unhandled_failure
         self._unhandled: list[Event] = []
@@ -299,38 +293,6 @@ class Simulation:
         """Entries physically stored (live + lazily cancelled) — tests."""
         return len(self._heap) + len(self._ready) - self._ready_idx
 
-    def peek(self) -> float:
-        """Time of the next live callback, or ``inf`` when idle.
-
-        The in-flight epoch batch is scanned from ``_peek_skip`` rather
-        than ``_ready_idx``: every entry below the skip mark was already
-        observed cancelled by an earlier peek, and cancellation is
-        one-way, so repeated peeks during a cancel-heavy epoch examine
-        each dead entry once instead of once per call.
-        """
-        ready = self._ready
-        i = self._peek_skip
-        idx = self._ready_idx
-        if i < idx:
-            i = idx
-        n = len(ready)
-        scans = 0
-        while i < n:
-            scans += 1
-            e = ready[i]
-            if not e.cancelled:
-                self._peek_skip = i
-                self._peek_scans += scans
-                return e.time
-            i += 1
-        self._peek_skip = i
-        self._peek_scans += scans
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
-            self._discards += 1
-        return heap[0][0] if heap else float("inf")
-
     # -- running -----------------------------------------------------------
 
     def step(self) -> bool:
@@ -356,7 +318,6 @@ class Simulation:
             if ready:
                 del ready[:]
                 self._ready_idx = 0
-                self._peek_skip = 0
             if not self._pop_epoch(None):
                 return False
 
@@ -430,7 +391,6 @@ class Simulation:
                     if ready:
                         del ready[:]
                         self._ready_idx = idx = 0
-                        self._peek_skip = 0
                     if not self._pop_epoch(until):
                         return
                 while idx < len(ready):

@@ -42,10 +42,19 @@ def _search_cut(probe_err, exact_err, metric, bound, *, lo, hi, stride):
     return _fixup(exact_err, metric, bound, a, hi, stride)
 
 
+def _level_of_cut(offsets, num_levels, cut):
+    """The level of the stream's last coefficient before ``cut`` (order
+    ``k`` holds level ``num_levels - 2 - k``), or the base level."""
+    for order in range(len(offsets) - 1):
+        if offsets[order] < cut <= offsets[order + 1]:
+            return num_levels - 2 - order
+    return num_levels - 1
+
+
 def build_ladder_reference(dec, error_bounds, metric):
     """The ladder ``build_ladder(dec, error_bounds, metric)`` must equal."""
     budget = ErrorBudget.create(metric, error_bounds)
-    levels, positions, values, offsets = _build_stream(dec)
+    positions, values, offsets = _build_stream(dec)
     original = recompose_full(dec)
     n = int(values.size)
     # The fix-up stride the recorded fingerprints were made with.
@@ -74,12 +83,10 @@ def build_ladder_reference(dec, error_bounds, metric):
                 bound=float(bound),
                 start=prev_cut,
                 stop=cut,
-                finest_level=int(levels[cut - 1]) if cut > 0 else dec.num_levels - 1,
+                finest_level=_level_of_cut(offsets, dec.num_levels, cut),
                 achieved_error=err,
                 bytes_per_coefficient=dec.dtype_nbytes + COEFFICIENT_TAG_BYTES,
             )
         )
         prev_cut = max(prev_cut, cut)
-    return AccuracyLadder(
-        dec, budget, levels, positions, values, offsets, buckets, base_error
-    )
+    return AccuracyLadder(dec, budget, positions, values, offsets, buckets, base_error)

@@ -115,6 +115,7 @@ def _removed_spellings():
     from repro.experiments.campaign import CampaignConfig
     from repro.experiments.config import ScenarioConfig
     from repro.experiments.fig16 import run_fig16
+    from repro.simkernel import Simulation
 
     # The build_ladder, ladder_for_app and TangoController calls fail
     # while binding arguments, before the (absent) decomposition, app or
@@ -159,6 +160,7 @@ def _removed_spellings():
         "runner_make_weight_function": (lambda: runner.make_weight_function, AttributeError),
         "run_fig16_parallel_keyword": (lambda: run_fig16(parallel=False), TypeError),
         "cli_bench_subcommand": (lambda: cli_main(["bench"]), SystemExit),
+        "simulation_peek": (lambda: Simulation().peek, AttributeError),
     }
 
 

@@ -7,8 +7,8 @@ registered batch form (``batch_dispatch``) in one call; the test-only
 per entry.  The contract is *observational identity*: same traces, same
 clocks, same event counts, same observability values.  These tests
 drive that contract with seeded randomized workloads, plus pinned unit
-tests for the grouped-start path, the aggregated per-epoch obs
-accounting, and the ``peek()`` scan cache.
+tests for the grouped-start path and the aggregated per-epoch obs
+accounting.
 """
 
 import random
@@ -177,34 +177,3 @@ class TestObsAggregationParity:
         # All three execution modes land on identical obs values.
         assert runs["fast-batched"][1] == runs["fast-scalar"][1]
         assert runs["fast-scalar"][1] == runs["reference-scalar"][1]
-
-
-class TestPeekScanCache:
-    def test_peek_examines_each_cancelled_entry_once(self):
-        """Repeated peeks during a cancel-heavy epoch must not rescan the
-        same dead entries (the old behaviour walked
-        ``_ready[_ready_idx:]`` from scratch on every call).  Scan counts
-        are pinned exactly: the first peek pays K dead + 1 live, each
-        later peek hits the cached offset in a single scan."""
-        sim = ScalarSimulation()
-        K = 50
-        handles = []
-
-        def noop():
-            pass
-
-        def first():
-            for h in handles:
-                h.cancel()
-            base = sim._peek_scans
-            for _ in range(10):
-                assert sim.peek() == 1.0  # the surviving live entry
-            # Cached-offset contract: (K + 1) + 9 x 1 scans, not 10 x (K + 1).
-            assert sim._peek_scans - base == K + 10
-
-        sim.schedule_at(1.0, first)
-        for _ in range(K):
-            handles.append(sim.schedule_at(1.0, noop))
-        survivor = sim.schedule_at(1.0, noop)
-        sim.run()
-        assert survivor.executed

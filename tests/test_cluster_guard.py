@@ -36,6 +36,7 @@ import builtins
 import gc
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -49,6 +50,7 @@ from repro.cluster import (
     register_arbitration,
     run_cluster,
 )
+from repro.cluster.node import NodeState
 from repro.util.units import KiB, MiB
 from tests.float_sums import neumaier_sum
 
@@ -238,8 +240,9 @@ class TestDyadicTies:
     order in which same-instant arrivals reserve from a node's bucket,
     nor whether an arrival exactly at a round end counts in that round.
     The stub tenants make both happen every round.  Completion-order
-    ties stay uncovered: dyadic latencies sum exactly in any order, so
-    no pin here moves when completions due at one instant swap.
+    ties are not covered here: dyadic latencies sum exactly in any
+    order, so no pin here moves when completions due at one instant
+    swap.  ``TestCompletionTies`` covers them.
     """
 
     @pytest.mark.parametrize("key", sorted(DYADIC_FINGERPRINTS), ids=str)
@@ -250,6 +253,36 @@ class TestDyadicTies:
             arbitration=policy, shards=shards, tenants_per_node=tenants
         )
         assert run_cluster(cfg).fingerprint() == DYADIC_FINGERPRINTS[key]
+
+
+class TestCompletionTies:
+    """Completions due at one instant are observed in ``seq`` order.
+
+    A stand-in device that finishes every request on the next 1/8-s tick
+    makes completions tie.  Arrivals are real draws, so latencies are
+    not dyadic, and the ``node="all"`` latency sum depends on the order
+    in which tied completions are added.
+    """
+
+    def test_all_latency_sum_adds_ties_in_seq_order(self, monkeypatch):
+        submit = NodeState.submit
+        submitted = []  # (done, seq, arrival) in submission order
+
+        def on_next_tick(node, nbytes, now):
+            done = math.ceil(submit(node, nbytes, now) * 8) / 8
+            submitted.append((done, len(submitted), now))
+            return done
+
+        monkeypatch.setattr(NodeState, "submit", on_next_tick)
+        cfg = ClusterConfig(n_nodes=4, shards=1, tenants_per_node=2, rounds=10, seed=3)
+        hist = run_cluster(cfg).registry.get("cluster.latency_s")
+        observed = sorted(c for c in submitted if c[0] <= cfg.horizon)
+        assert len({done for done, _, _ in observed}) < len(observed) / 2
+        expected = 0.0
+        for done, _, arrival in observed:
+            expected += done - arrival
+        assert hist.count(node="all") == len(observed)
+        assert hist.sum(node="all") == expected
 
 
 # -- what the arbitration hooks see -------------------------------------

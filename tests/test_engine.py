@@ -272,8 +272,19 @@ class TestMemoCache:
         finally:
             tracemalloc.stop()
         assert not hasattr(ladder.decomposition, "_ladder_scratch")
-        # The default-config entry held 7.07 MiB with the scratch.
-        assert held <= 2.5 * 2**20, f"memo entry holds {held / 2**20:.2f} MiB"
+        # The field and the stream: 1.44 MiB.  The entry held 7.07 MiB
+        # with the construction scratch, and 2.30 MiB with the dense
+        # augmentations and a per-coefficient level array.
+        assert held <= 1.6 * 2**20, f"memo entry holds {held / 2**20:.2f} MiB"
+        memo.clear_cache()
+
+    def test_default_scenario_never_builds_dense_augmentations(self):
+        memo.clear_cache()
+        res = run_scenario(ScenarioConfig())
+        assert res.mean_outcome_error >= 0.0  # reconstructs at every rung used
+        dec = res.ladder.decomposition
+        assert dec.num_levels > 1
+        assert "augmentations" not in vars(dec)
         memo.clear_cache()
 
     def test_clear_cache_frees_an_entry_without_gc(self):

@@ -399,7 +399,7 @@ class TestMagnitudeOrder:
         rng = np.random.default_rng(3)
         field = np.round(rng.standard_normal((40, 40)) * 2) / 2
         dec = decompose(field, 3)
-        _, positions, values, offsets = _build_stream(dec)
+        positions, values, offsets = _build_stream(dec)
         lo, hi = int(offsets[-2]), int(offsets[-1])
         seg_pos, seg_vals = positions[lo:hi], values[lo:hi]
         keys = -np.abs(seg_vals)
@@ -433,7 +433,7 @@ class TestSnapshotReconstruction:
 
     @staticmethod
     def _assert_resume_equals_walk(dec):
-        _, positions, values, offsets = _build_stream(dec)
+        positions, values, offsets = _build_stream(dec)
         engine = LadderProbeEngine(dec, positions, values, offsets, recompose_full(dec))
         states = engine.boundary_states
         before = [s.tobytes() for s in states]
@@ -463,6 +463,48 @@ class TestSnapshotReconstruction:
         self._assert_resume_equals_walk(dec)
 
 
+class TestLadderDecomposition:
+    """A ladder keeps its stream, the base and the geometry, not the dense
+    decomposition it was cut from; its decomposition scatters the dense
+    augmentations back from the stream on first read."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("row", PINNED, ids=_case_id)
+    def test_recomposes_byte_for_byte(self, row, dtype):
+        field = make_field(row["shape"], row["seed"])
+        dec = decompose(
+            field, row["levels"], row["d"], transform=row["transform"], dtype=dtype
+        )
+        ladder = build_ladder(dec, list(row["bounds"]), ErrorMetric(row["metric"]))
+        lean = ladder.decomposition
+        assert lean.base is dec.base
+        assert (lean.shapes, lean.strides, lean.transform, lean.dtype_nbytes) == (
+            dec.shapes,
+            dec.strides,
+            dec.transform,
+            dec.dtype_nbytes,
+        )
+        assert "augmentations" not in vars(lean), "a geometry read built them"
+        full, expected = recompose_full(lean), recompose_full(dec)
+        assert (full.dtype, full.shape) == (expected.dtype, expected.shape)
+        assert full.tobytes() == expected.tobytes()
+        assert len(lean.augmentations) == len(dec.augmentations)
+        for got, want in zip(lean.augmentations, dec.augmentations):
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    def test_ladder_does_not_keep_the_dense_decomposition(self):
+        dec = decompose(make_field((48, 40), seed=9), 3)
+        ladder = build_ladder(dec, [0.1, 0.01], ErrorMetric.NRMSE)
+        ref = weakref.ref(dec)
+        gc.disable()
+        try:
+            del dec  # and with it the construction scratch
+            assert ref() is None, "the ladder keeps its dense decomposition"
+        finally:
+            gc.enable()
+        assert ladder.reconstruct(ladder.num_buckets).shape == (48, 40)
+
+
 class TestEngineSSE:
     """The engine's incremental SSE tracks exact reconstruction error."""
 
@@ -479,7 +521,7 @@ class TestEngineSSE:
     def test_sse_matches_exact(self, shape, levels, d, transform):
         field = make_field(shape, seed=7)
         dec = decompose(field, levels, d, transform=transform)
-        _, positions, values, offsets = _build_stream(dec)
+        positions, values, offsets = _build_stream(dec)
         original = recompose_full(dec)
         engine = LadderProbeEngine(dec, positions, values, offsets, original)
 

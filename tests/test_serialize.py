@@ -1,8 +1,11 @@
 """Tests for repro.core.serialize — the on-disk refactored format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.apps import make_app
 from repro.core.error_control import ErrorMetric, build_ladder
 from repro.core.metrics import nrmse
 from repro.core.refactor import decompose, recompose_full
@@ -13,6 +16,17 @@ from repro.core.serialize import (
     unpack_ladder,
     unpack_partial,
 )
+from repro.engine import memo
+from repro.experiments.config import ScenarioConfig
+
+#: sha256 of ``pack_ladder`` for each app's default-config memo ladder
+#: (``ScenarioConfig()``: 256x256, decimation 16, four NRMSE bounds,
+#: seed 0), recorded when ladders still kept their dense decomposition.
+DEFAULT_PAYLOAD_SHA256 = {
+    "xgc": "0ee4e6f94885e2bfc89a81e46aec1bb1dad881dad94c6e45bff6e3b39a5b104b",
+    "cfd": "4e44a17e056690bf4ca6556a76d8524f0888f5d3c3b5bb60bdd06361d44bd667",
+    "genasis": "96f22b95242a73d703862960ce0afd9f8b914a01393b9fc7143e47920d6ef638",
+}
 
 
 @pytest.fixture
@@ -126,6 +140,29 @@ class TestValidation:
         sizes = [payload_size_through(ladder, m) for m in range(ladder.num_buckets + 1)]
         assert sizes == sorted(sizes)
         assert sizes[-1] <= len(pack_ladder(ladder))
+
+
+class TestDefaultPayloads:
+    @pytest.mark.parametrize("app", sorted(DEFAULT_PAYLOAD_SHA256))
+    def test_pack_ladder_bytes_pinned(self, app):
+        cfg = ScenarioConfig()
+        memo.clear_cache()
+        _, ladder = memo.ladder_for_app(
+            make_app(app),
+            grid_shape=cfg.grid_shape,
+            decimation_ratio=cfg.decimation_ratio,
+            metric=cfg.metric,
+            error_bounds=tuple(cfg.error_bounds),
+            seed=cfg.seed,
+        )
+        memo.clear_cache()
+        payload = pack_ladder(ladder)
+        assert hashlib.sha256(payload).hexdigest() == DEFAULT_PAYLOAD_SHA256[app]
+        restored = unpack_ladder(payload)
+        assert pack_ladder(restored) == payload
+        # Neither packing nor unpacking builds the dense augmentations.
+        for lad in (ladder, restored):
+            assert "augmentations" not in vars(lad.decomposition)
 
 
 class TestDtypeRoundTrip:

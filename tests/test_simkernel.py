@@ -98,11 +98,6 @@ class TestRunUntil:
         with pytest.raises(SimError):
             sim.run(until=1.0)
 
-    def test_peek(self, sim):
-        assert sim.peek() == float("inf")
-        sim.schedule(3.0, lambda: None)
-        assert sim.peek() == 3.0
-
 
 class TestEpochOrdering:
     def test_exponential_gaps_drain_in_time_order(self, sim):
@@ -133,10 +128,9 @@ class TestEpochOrdering:
 
     def test_random_churn_runs_live_entries_in_time_seq_order(self, sim):
         """Seeded churn: duplicate timestamps, nested same-instant
-        schedules, cancels past the compaction trigger, ``peek`` inside
-        and between drains, and ``run(until=)`` landing both on and
-        between timestamps.  Exactly the never-cancelled entries run, in
-        ``(time, seq)`` order."""
+        schedules, cancels past the compaction trigger, and
+        ``run(until=)`` landing both on and between timestamps.  Exactly
+        the never-cancelled entries run, in ``(time, seq)`` order."""
         rng = random.Random(17)
         handles = []
         executed = []
@@ -158,8 +152,6 @@ class TestEpochOrdering:
                     add(rng.randrange(8) * 0.25)
             if rng.random() < 0.3:
                 rng.choice(handles).cancel()  # a no-op once run or cancelled
-            if rng.random() < 0.1:
-                assert sim.peek() == next_live_time()
 
         for _ in range(600):
             add(rng.randrange(40) * 0.25)  # ~15 entries per timestamp
@@ -167,8 +159,7 @@ class TestEpochOrdering:
             h.cancel()
         assert sim.kernel_stats()["compactions"] >= 1
         while sim.pending_count:
-            t = sim.peek()
-            assert t == next_live_time()
+            t = next_live_time()
             sim.run(until=t + rng.choice((0.0, 0.1, 0.25, 1.0)))
 
         live = [h for h in handles if not h.cancelled]

@@ -3,6 +3,8 @@
 # Outputs land in test_output.txt, bench_output.txt, benchmarks/results/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Run from the checkout, as CI does; no pip install needed.
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tests =="
 pytest tests/ 2>&1 | tee test_output.txt | tail -1
