@@ -10,11 +10,24 @@ exact same cluster in a worker — determinism is a function of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from repro.util.units import MiB, mb_per_s
 
 __all__ = ["ClusterConfig"]
+
+#: Fields that must be finite and > 0 (``cluster_rate`` may also be None).
+_POSITIVE_FINITE = (
+    "round_interval",
+    "cluster_rate",
+    "burst_s",
+    "node_peak_bw",
+    "request_bytes",
+    "slo_latency_s",
+    "hot_demand",
+    "cold_demand",
+)
 
 
 @dataclass(frozen=True)
@@ -139,19 +152,19 @@ class ClusterConfig:
             raise ValueError(
                 f"tenants_per_node must be >= 1, got {self.tenants_per_node}"
             )
-        if self.round_interval <= 0:
-            raise ValueError(f"round_interval must be > 0, got {self.round_interval}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.cluster_rate is not None and self.cluster_rate <= 0:
-            raise ValueError(f"cluster_rate must be > 0, got {self.cluster_rate}")
-        for name in ("burst_s", "node_peak_bw", "request_bytes", "slo_latency_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        # ``not 0 < x < inf`` also rejects NaN, which every comparison
+        # fails: a NaN or infinite size, rate or interval stalls a run or
+        # turns its results to NaN.
+        for name in _POSITIVE_FINITE:
+            value = getattr(self, name)
+            if value is None and name == "cluster_rate":
+                continue
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
         if not 0.0 <= self.hot_fraction <= 1.0:
             raise ValueError(f"hot_fraction must be in [0, 1], got {self.hot_fraction}")
-        if self.hot_demand <= 0 or self.cold_demand <= 0:
-            raise ValueError("hot_demand and cold_demand must be > 0")
         if self.borrow_neighbors < 1:
             raise ValueError(
                 f"borrow_neighbors must be >= 1, got {self.borrow_neighbors}"

@@ -13,7 +13,9 @@ A node schedules nothing itself.  Its shard draws the tenants'
 arrivals, :meth:`NodeState.submit` returns each request's completion
 instant (the reservation fixes it), and the shard hands the completion
 back through :meth:`NodeState.complete` at the end of the round it
-falls in, before the round-end hooks run.
+falls in, before the round-end hooks run.  A completion records its
+latency into the node's own series and the cluster-wide ``"all"``
+series through one histogram handle, with one bucket search for both.
 
 Nodes never touch each other's state inside a shard — all cross-node
 coupling flows through the round-boundary message bus — so per-node
@@ -73,18 +75,21 @@ class NodeState:
             rate=config.base_rate,
             start=0.0,
         )
+        # Read once: the request path runs per arrival and completion.
+        self._peak_bw = config.node_peak_bw
+        self._slo_latency_s = config.slo_latency_s
         self._label = f"{node_id:04d}"
         latency = registry.histogram(
             "cluster.latency_s",
             "request latency (shaping + transfer), seconds",
             buckets=LATENCY_BUCKETS,
         )
-        # Two series per observation: the node's own (per-node tails,
-        # merged across shards by label) and the cluster-wide "all"
-        # series (global p99 without a second reduction pass).  Each is
-        # keyed once here and created at its first observation.
-        self._latency_node = latency.bind(node=self._label)
-        self._latency_all = latency.bind(node="all")
+        # Two series per observation, through one handle and one bucket
+        # search: the node's own (per-node tails, merged across shards by
+        # label) and the cluster-wide "all" series (global p99 without a
+        # second reduction pass).  Both are keyed once here and created
+        # at the node's first observation.
+        self._latency = latency.bind({"node": self._label}, {"node": "all"})
         # -- totals over the whole run -----------------------------------
         self.demand_bytes = 0.0
         self.served_bytes = 0.0
@@ -117,17 +122,16 @@ class NodeState:
         self.demand_bytes_round += nbytes
         self.consumed_round += nbytes
         delay = self.bucket.reserve(nbytes, now)
-        return now + (delay + nbytes / self.config.node_peak_bw)
+        return now + (delay + nbytes / self._peak_bw)
 
     def complete(self, nbytes: float, arrival: float, done: float) -> None:
         """Observe one completion: served bytes, SLO score, latency."""
         latency = done - arrival
         self.served_bytes += nbytes
         self.completions += 1
-        if latency > self.config.slo_latency_s:
+        if latency > self._slo_latency_s:
             self.violations += 1
-        self._latency_node.observe(latency)
-        self._latency_all.observe(latency)
+        self._latency.observe(latency)
 
     # -- round protocol ---------------------------------------------------
 

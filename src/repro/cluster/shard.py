@@ -11,10 +11,14 @@ them through bounded-lag rounds::
 
 The shard needs no event kernel.  Token-bucket rates move only in the
 hooks, and a request's completion instant is fixed when it is submitted,
-so a round is two heap drains: arrivals in ``(time, seq)`` order, each
-one submitted and its tenant's next arrival drawn, then the completions
-due by the round's end in ``(time, seq)`` order.  That is the order an
-event kernel would run them in, and the hooks see the same node state.
+so a round drains the arrival heap in ``(time, seq)`` order, each
+arrival submitted and its tenant's next arrival drawn, then observes
+the completions due by the round's end in ``(time, seq)`` order.  A
+completion due in its own round never touches a heap: it waits on the
+round's list, which the carried heap's due entries join and one sort
+orders.  Only a request that outlives its round is carried on the heap.
+That is the order an event kernel would run them in, and the hooks see
+the same node state.
 
 Nothing in a shard references another shard — node RNG streams are
 spawned for the *whole cluster* and indexed by node id, metrics are
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
+from operator import itemgetter
 
 from repro.cluster.arbitration import ARBITRATION
 from repro.cluster.bus import Message, Outbox, route
@@ -40,6 +45,8 @@ from repro.obs.metrics import Registry
 from repro.util.rng import spawn_rngs
 
 __all__ = ["ShardRuntime", "ShardResult"]
+
+_completion_time = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -134,30 +141,40 @@ class ShardRuntime:
 
     def _serve(self, end: float) -> None:
         """Serve every arrival due by ``end``, then observe every
-        completion due by ``end``.
+        completion due by ``end`` in ``(time, seq)`` order.
 
-        A completion never precedes its own arrival, so each one due by
-        ``end`` is already queued when the arrivals are drained.
+        The carried heap holds requests that outlived an earlier round;
+        its entries due by ``end`` open this round's list, in ``(time,
+        seq)`` order.  A request submitted now joins the list when it
+        completes by ``end`` and goes on the heap only when it outlives
+        the round.  Every carried ``seq`` precedes every new one, so one
+        stable sort on the completion time alone puts the whole list in
+        ``(time, seq)`` order, ties included.
         """
         arrivals = self._arrivals
-        completions = self._completions
+        carried = self._completions
+        due: list[tuple] = []
+        while carried and carried[0][0] <= end:
+            due.append(heappop(carried))
         request_bytes = self._request_bytes
         seq = seq0 = self._seq
         while arrivals[0][0] <= end:
             now, _, node, rng, mean = arrivals[0]
             nbytes = request_bytes * (0.5 + rng.random())
-            heappush(completions, (node.submit(nbytes, now), seq, node, nbytes, now))
+            done = node.submit(nbytes, now)
+            if done <= end:
+                due.append((done, seq, node, nbytes, now))
+            else:
+                heappush(carried, (done, seq, node, nbytes, now))
             heapreplace(
                 arrivals, (now + mean * rng.standard_exponential(), seq, node, rng, mean)
             )
             seq += 1
         self._seq = seq
-        done = 0
-        while completions and completions[0][0] <= end:
-            t_done, _, node, nbytes, arrival = heappop(completions)
-            node.complete(nbytes, arrival, t_done)
-            done += 1
-        self.events_executed += seq - seq0 + done
+        due.sort(key=_completion_time)
+        for done, _, node, nbytes, arrival in due:
+            node.complete(nbytes, arrival, done)
+        self.events_executed += seq - seq0 + len(due)
 
     def finalize(self) -> ShardResult:
         """Fold node totals into the registry and ship the shard outcome."""

@@ -179,17 +179,6 @@ class TokenBucket:
             return self._anchor_tokens
         return min(self.capacity, self._anchor_tokens + self.rate * elapsed)
 
-    def admission_delay(self, nbytes: float, now: float) -> float:
-        """Wait until ``nbytes`` could be admitted — without reserving."""
-        start = max(now, self._anchor_time)
-        lvl = min(
-            self.capacity,
-            self._anchor_tokens + self.rate * (start - self._anchor_time),
-        )
-        if lvl >= nbytes:
-            return start - now
-        return (start - now) + (nbytes - lvl) / self.rate
-
     def backlog_bytes(self, now: float) -> float:
         """Bytes already admitted but still refilling (the queued deficit).
 
@@ -233,11 +222,14 @@ class TokenBucket:
         nbytes = float(nbytes)
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
-        start = max(now, self._anchor_time)
-        lvl = min(
-            self.capacity,
-            self._anchor_tokens + self.rate * (start - self._anchor_time),
-        )
+        # ``max(now, anchor)`` and ``min(capacity, level)`` without the
+        # builtin calls: each conditional returns what the builtin does,
+        # the first argument on ties and when either side is NaN.
+        anchor = self._anchor_time
+        start = anchor if anchor > now else now
+        level = self._anchor_tokens + self.rate * (start - anchor)
+        capacity = self.capacity
+        lvl = level if level < capacity else capacity
         if lvl >= nbytes:
             self._anchor_time = start
             self._anchor_tokens = lvl - nbytes

@@ -167,17 +167,29 @@ class Histogram(_Metric):
         agg[0] += value
         agg[1] += 1.0
 
-    def bind(self, **labels: object) -> "_BoundHistogram":
-        """A handle that observes into one label set, keyed once.
+    def bind(
+        self, *label_sets: dict[str, object], **labels: object
+    ) -> "_BoundHistogram":
+        """A handle that observes into one or more label sets, keyed once.
 
         ``h.bind(**labels).observe(v)`` records exactly what
         ``h.observe(v, **labels)`` records, without keying the labels on
-        every call.  The series is created at the handle's first
-        observation, as :meth:`observe` creates it, so a handle that
-        never observes adds nothing to the snapshot.  Handles and keyword
-        observations of one label set share one series.
+        every call.  ``h.bind(a, b).observe(v)``, with ``a`` and ``b``
+        label dicts, records exactly what ``h.observe(v, **a)`` then
+        ``h.observe(v, **b)`` record, with one bucket search for both.
+        The series are created at the handle's first observation, in
+        label-set order, as :meth:`observe` creates them, so a handle
+        that never observes adds nothing to the snapshot.  Handles and
+        keyword observations of one label set share one series.
         """
-        return _BoundHistogram(self, _label_key(labels))
+        if label_sets and labels:
+            raise MetricError(
+                f"histogram {self.name!r}: bind takes label dicts or keyword "
+                "labels, not both"
+            )
+        if not label_sets:
+            label_sets = (labels,)
+        return _BoundHistogram(self, tuple(_label_key(s) for s in label_sets))
 
     def count(self, **labels: object) -> int:
         entry = self._series.get(_label_key(labels))
@@ -249,26 +261,28 @@ class Histogram(_Metric):
 
 
 class _BoundHistogram:
-    """One label set of a :class:`Histogram` (see :meth:`Histogram.bind`)."""
+    """Label sets of a :class:`Histogram` (see :meth:`Histogram.bind`)."""
 
-    __slots__ = ("_hist", "_key", "_bounds", "_entry")
+    __slots__ = ("_hist", "_keys", "_bounds", "_entries")
 
-    def __init__(self, hist: Histogram, key: LabelKey) -> None:
+    def __init__(self, hist: Histogram, keys: tuple[LabelKey, ...]) -> None:
         self._hist = hist
-        self._key = key
+        self._keys = keys
         self._bounds = hist.bounds
-        self._entry: tuple[list[int], list[float]] | None = None
+        self._entries: tuple[tuple[list[int], list[float]], ...] | None = None
 
     def observe(self, value: float) -> None:
-        entry = self._entry
-        if entry is None:
+        entries = self._entries
+        if entries is None:
             # Looked up only now: another handle or a keyword observation
-            # may have created the series since this handle was bound.
-            entry = self._entry = self._hist._series_for(self._key)
-        counts, agg = entry
-        counts[bisect.bisect_left(self._bounds, value)] += 1
-        agg[0] += value
-        agg[1] += 1.0
+            # may have created a series since this handle was bound.
+            series_for = self._hist._series_for
+            entries = self._entries = tuple(series_for(key) for key in self._keys)
+        i = bisect.bisect_left(self._bounds, value)
+        for counts, agg in entries:
+            counts[i] += 1
+            agg[0] += value
+            agg[1] += 1.0
 
 
 class Registry:

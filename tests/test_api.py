@@ -107,6 +107,7 @@ def _removed_spellings():
     """Each removed spelling (a shim whose one-release deprecation window
     has passed, or a retired option), as (call, exception it now raises)."""
     import repro.experiments.runner as runner
+    from repro.api import TokenBucket
     from repro.cli import main as cli_main
     from repro.control import TangoController
     from repro.core.abplot import AugmentationBandwidthPlot
@@ -161,6 +162,9 @@ def _removed_spellings():
         "run_fig16_parallel_keyword": (lambda: run_fig16(parallel=False), TypeError),
         "cli_bench_subcommand": (lambda: cli_main(["bench"]), SystemExit),
         "simulation_peek": (lambda: Simulation().peek, AttributeError),
+        "token_bucket_admission_delay": (
+            lambda: TokenBucket(1.0, 1.0).admission_delay, AttributeError
+        ),
     }
 
 

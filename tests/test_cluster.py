@@ -121,6 +121,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             _tiny(**bad)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "round_interval",
+            "cluster_rate",
+            "burst_s",
+            "node_peak_bw",
+            "request_bytes",
+            "slo_latency_s",
+            "hot_demand",
+            "cold_demand",
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        """NaN passes an ``x <= 0`` check and infinity passes any
+        positivity check; either stalls a run or leaves NaN results, so
+        the constructor names the field instead.  Nothing runs here."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite and > 0"):
+            _tiny(**{field: value})
+
 
 class TestArbitrationRegistry:
     def test_builtins_registered(self):

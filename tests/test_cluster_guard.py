@@ -106,6 +106,46 @@ class TestPinnedBenchmarkShape:
         assert run_cluster(cfg).fingerprint() == BENCH_UNIT1_FINGERPRINT
 
 
+#: ``PARITY_CONFIG`` backlogged: hot nodes offer 6x their fair share for
+#: 20 rounds, so most completions fall in a later round than the
+#: arrival's (1364 of 1656 observed under centralized arbitration, 82 %;
+#: 1063 of 1529 under token borrowing, 70 %).  On the shapes above most
+#: complete in their own round (96 % and 72 % at ``BENCH_SHAPE``), so
+#: these pins are the ones that lean on the carried completion heap.
+BACKLOG_CONFIG = PARITY_CONFIG.with_(hot_demand=6.0, rounds=20)
+BACKLOG_FINGERPRINTS = {
+    "centralized": "77ce46054c42996a3bce56a513f8ac92c2c9c96f881c7bda8333bbc27dd4fbb8",
+    "adaptbf": "d3438776a3548c0adf36ed8c845fbc8e83ec02294c2ed36a34f6e6b38efd0842",
+}
+
+
+class TestPinnedBacklog:
+    @pytest.mark.parametrize("policy", sorted(BACKLOG_FINGERPRINTS))
+    def test_fingerprint(self, policy):
+        cfg = BACKLOG_CONFIG.with_(arbitration=policy)
+        assert run_cluster(cfg).fingerprint() == BACKLOG_FINGERPRINTS[policy]
+
+    @pytest.mark.parametrize("policy", sorted(BACKLOG_FINGERPRINTS))
+    def test_most_completions_outlive_their_round(self, policy, monkeypatch):
+        submit = NodeState.submit
+        submitted = []  # (arrival, done)
+
+        def recorded(node, nbytes, now):
+            done = submit(node, nbytes, now)
+            submitted.append((now, done))
+            return done
+
+        monkeypatch.setattr(NodeState, "submit", recorded)
+        cfg = BACKLOG_CONFIG.with_(arbitration=policy)
+        run_cluster(cfg)
+        # An arrival at ``now`` is served in the round ending at
+        # ``ceil(now)`` (1-s rounds, boundaries exact).
+        assert cfg.round_interval == 1.0
+        observed = [(now, done) for now, done in submitted if done <= cfg.horizon]
+        outlived = sum(done > math.ceil(now) for now, done in observed)
+        assert outlived > len(observed) / 2
+
+
 class TestSumOrder:
     """The parity pins hold on Python 3.12, whose ``sum()`` compensates.
 
@@ -283,6 +323,45 @@ class TestCompletionTies:
             expected += done - arrival
         assert hist.count(node="all") == len(observed)
         assert hist.sum(node="all") == expected
+
+
+class TestCompletionOrder:
+    """Each completion is observed in ``(done, seq)`` order, one by one.
+
+    ``TestCompletionTies`` sees the order through a float sum, which a
+    swap of two tied completions can leave unchanged.  On the same
+    next-tick device this records every observation.  At 28 of its 75
+    tied instants a completion carried from an earlier round ties with
+    one submitted in the round it completes in; the carried one was
+    submitted first, so it is observed first.
+    """
+
+    def test_observed_in_done_then_submit_order(self, monkeypatch):
+        submit, complete = NodeState.submit, NodeState.complete
+        submitted = {}  # (node id, arrival) -> (done, seq)
+        observed = []
+
+        def on_next_tick(node, nbytes, now):
+            done = math.ceil(submit(node, nbytes, now) * 8) / 8
+            submitted[node.id, now] = (done, len(submitted))
+            return done
+
+        def recorded(node, nbytes, arrival, done):
+            observed.append(submitted[node.id, arrival])
+            complete(node, nbytes, arrival, done)
+
+        monkeypatch.setattr(NodeState, "submit", on_next_tick)
+        monkeypatch.setattr(NodeState, "complete", recorded)
+        cfg = ClusterConfig(n_nodes=4, shards=1, tenants_per_node=2, rounds=10, seed=3)
+        run_cluster(cfg)
+        assert observed == sorted(v for v in submitted.values() if v[0] <= cfg.horizon)
+        # Both kinds meet at some tied instants (1-s rounds: an arrival
+        # at ``now`` is served in the round ending at ``ceil(now)``).
+        outlived_at = {}  # done -> {whether each completion outlived its round}
+        for (_, arrival), (done, _) in submitted.items():
+            if done <= cfg.horizon:
+                outlived_at.setdefault(done, set()).add(done > math.ceil(arrival))
+        assert sum(kinds == {True, False} for kinds in outlived_at.values()) == 28
 
 
 # -- what the arbitration hooks see -------------------------------------

@@ -10,7 +10,7 @@ admission control, SLO scoring, and composition with fault campaigns.
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataplane import (
@@ -79,14 +79,6 @@ class TestTokenBucket:
         d2 = b.reserve(50.0, 0.0)
         assert d1 == pytest.approx(5.0)
         assert d2 == pytest.approx(10.0)
-
-    def test_admission_delay_does_not_mutate(self):
-        b = TokenBucket(100.0, 10.0)
-        b.reserve(80.0, 0.0)
-        probe = b.admission_delay(50.0, 0.0)
-        assert probe == pytest.approx(3.0)
-        assert b.level(0.0) == pytest.approx(20.0)
-        assert b.reserve(50.0, 0.0) == pytest.approx(probe)
 
     def test_zero_byte_reservation_is_free(self):
         b = TokenBucket(10.0, 1.0)
@@ -217,6 +209,90 @@ class TestTokenBucketProperties:
             totals[idx] += nbytes
             horizons[idx] = max(horizons[idx], now + delay)
             assert totals[idx] <= capacity + rate * horizons[idx] + 1e-6
+
+
+def _builtin_reserve(bucket, nbytes, now):
+    """``TokenBucket.reserve`` written with the ``max``/``min`` builtins."""
+    nbytes = float(nbytes)
+    if nbytes < 0:
+        raise ValueError(f"nbytes must be >= 0, got {nbytes!r}")
+    start = max(now, bucket._anchor_time)
+    lvl = min(
+        bucket.capacity,
+        bucket._anchor_tokens + bucket.rate * (start - bucket._anchor_time),
+    )
+    if lvl >= nbytes:
+        bucket._anchor_time = start
+        bucket._anchor_tokens = lvl - nbytes
+        return start - now
+    admitted_at = start + (nbytes - lvl) / bucket.rate
+    bucket._anchor_time = admitted_at
+    bucket._anchor_tokens = 0.0
+    return admitted_at - now
+
+
+_CAPACITY = 150.0
+
+#: One call, ``(op, when, dt, value)``: ``when="anchor"`` calls at the
+#: bucket's anchor instant, ``"after"`` ``dt`` after the previous call.
+#: ``value`` is the reservation size (zero, exactly the capacity or
+#: negative ones included) or, for ``set_rate``, sets the new rate.
+_BUCKET_CALLS = st.tuples(
+    st.sampled_from(["reserve", "set_rate"]),
+    st.sampled_from(["after", "anchor"]),
+    st.floats(min_value=0.0, max_value=40.0),
+    st.one_of(
+        st.just(0.0),
+        st.just(_CAPACITY),
+        st.floats(min_value=-5.0, max_value=400.0),
+    ),
+)
+
+
+class TestReserveMatchesBuiltinForm:
+    """``reserve`` picks ``max(now, anchor)`` and ``min(capacity, level)``
+    with conditionals; over any call sequence it must return the delay
+    and leave the anchor the builtin form does, bit for bit."""
+
+    @given(
+        calls=st.lists(_BUCKET_CALLS, max_size=40),
+        rate=st.floats(min_value=0.5, max_value=50.0),
+        tokens=st.one_of(st.just(_CAPACITY), st.floats(min_value=0.0, max_value=_CAPACITY)),
+    )
+    # At the anchor of a full bucket: now == anchor, the level is
+    # exactly the capacity, and the request is zero bytes.
+    @example(calls=[("reserve", "anchor", 0.0, 0.0)], rate=7.0, tokens=_CAPACITY)
+    # Drain exactly, queue a deficit, then reserve zero bytes at the
+    # anchor the deficit pushed into the future, and again past it.
+    @example(
+        calls=[
+            ("reserve", "anchor", 0.0, _CAPACITY),
+            ("reserve", "anchor", 0.0, 10.0),
+            ("reserve", "anchor", 0.0, 0.0),
+            ("reserve", "after", 30.0, 0.0),
+        ],
+        rate=7.0,
+        tokens=_CAPACITY,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_delay_and_anchor_as_the_builtins(self, calls, rate, tokens):
+        real = TokenBucket(_CAPACITY, rate, tokens=tokens)
+        ref = TokenBucket(_CAPACITY, rate, tokens=tokens)
+        now = 0.0
+        for op, when, dt, value in calls:
+            now = real._anchor_time if when == "anchor" else now + dt
+            if op == "set_rate":
+                real.set_rate(abs(value) + 0.5, now)
+                ref.set_rate(abs(value) + 0.5, now)
+            elif value < 0:
+                with pytest.raises(ValueError, match="nbytes must be >= 0"):
+                    real.reserve(value, now)
+                with pytest.raises(ValueError, match="nbytes must be >= 0"):
+                    _builtin_reserve(ref, value, now)
+            else:
+                assert real.reserve(value, now) == _builtin_reserve(ref, value, now)
+            assert real._anchor_time == ref._anchor_time
+            assert real._anchor_tokens == ref._anchor_tokens
 
 
 # -- policy objects ---------------------------------------------------------

@@ -213,18 +213,24 @@ class TestHistogramBind:
     """``Histogram.bind``: a once-keyed handle equal to keyword observes."""
 
     BUCKETS = (0.01, 0.1, 1.0)
-    #: Values whose float sums depend on the order they are added in.
-    VALUES = (0.1, 0.7, 0.2, 1e-3, 3.3, 0.05, 0.1, 2.5e-2, 1.7)
+    #: Values whose float sum depends on the order they are added in:
+    #: left to right it reads 6.376, right to left 6.3759999999999994.
+    VALUES = (0.1, 0.2, 0.3, 1e-3, 3.3, 0.05, 0.7, 2.5e-2, 1.7)
 
-    def _node_registry(self, node: str, values, *, bound: bool) -> Registry:
-        """A shard-like registry: each value into the node's and "all" series."""
+    def _node_registry(self, node: str, values, *, how: str) -> Registry:
+        """A shard-like registry: each value into the node's and "all"
+        series, through two handles, one two-set handle or keywords."""
         reg = Registry()
         h = reg.histogram("lat", buckets=self.BUCKETS)
-        if bound:
+        if how == "handles":
             mine, everyone = h.bind(node=node), h.bind(node="all")
             for v in values:
                 mine.observe(v)
                 everyone.observe(v)
+        elif how == "one handle":
+            both = h.bind({"node": node}, {"node": "all"})
+            for v in values:
+                both.observe(v)
         else:
             for v in values:
                 h.observe(v, node=node)
@@ -232,12 +238,68 @@ class TestHistogramBind:
         return reg
 
     def test_same_snapshot_as_keyword_observations(self):
-        bound = self._node_registry("0001", self.VALUES, bound=True)
-        keyword = self._node_registry("0001", self.VALUES, bound=False)
+        bound = self._node_registry("0001", self.VALUES, how="handles")
+        keyword = self._node_registry("0001", self.VALUES, how="keyword")
         assert bound.snapshot() == keyword.snapshot()
         h = bound.get("lat")
         assert h.sum(node="all") == keyword.get("lat").sum(node="all")
         assert h.count(node="0001") == len(self.VALUES)
+
+    def test_two_set_handle_same_snapshot_as_keyword_observations(self):
+        """One handle over the node's and the "all" label sets records
+        what the two keyword observations per value record."""
+        bound = self._node_registry("0001", self.VALUES, how="one handle")
+        keyword = self._node_registry("0001", self.VALUES, how="keyword")
+        assert bound.snapshot() == keyword.snapshot()
+        h = bound.get("lat")
+        assert h.sum(node="all") == keyword.get("lat").sum(node="all")
+        assert h.count(node="0001") == h.count(node="all") == len(self.VALUES)
+
+    def test_two_set_handle_adds_in_observation_order(self):
+        """Each series of a two-set handle sums its values left to right,
+        which ``VALUES`` makes differ from other orders."""
+        h = self._node_registry("0001", self.VALUES, how="one handle").get("lat")
+        left_to_right = right_to_left = 0.0
+        for v in self.VALUES:
+            left_to_right += v
+        for v in reversed(self.VALUES):
+            right_to_left += v
+        assert left_to_right != right_to_left
+        assert h.sum(node="0001") == h.sum(node="all") == left_to_right
+
+    def test_two_set_handle_creates_its_series_at_first_observation(self):
+        reg = Registry()
+        h = reg.histogram("lat", buckets=self.BUCKETS)
+        h.observe(0.5, node="0000")
+        before = reg.snapshot()
+        both = h.bind({"node": "0001"}, {"node": "all"})
+        assert reg.snapshot() == before
+        both.observe(0.05)
+        assert list(h.series()) == [
+            (("node", "0000"),),
+            (("node", "0001"),),
+            (("node", "all"),),
+        ]
+
+    def test_two_set_handle_shares_series_with_single_handles(self):
+        h = Histogram("h", buckets=self.BUCKETS)
+        both = h.bind({"node": "a"}, {"node": "all"})
+        mine, everyone = h.bind(node="a"), h.bind(node="all")
+        mine.observe(0.05)
+        both.observe(0.5)
+        everyone.observe(2.0)
+        h.observe(0.2, node="all")
+        both.observe(0.005)
+        assert list(h.series()) == [(("node", "a"),), (("node", "all"),)]
+        assert h.count(node="a") == 3
+        assert h.sum(node="a") == 0.05 + 0.5 + 0.005
+        assert h.count(node="all") == 4
+        assert h.sum(node="all") == 0.5 + 2.0 + 0.2 + 0.005
+
+    def test_label_dicts_and_keywords_do_not_mix(self):
+        h = Histogram("h", buckets=self.BUCKETS)
+        with pytest.raises(MetricError, match="not both"):
+            h.bind({"node": "a"}, node="all")
 
     def test_label_order_does_not_matter(self):
         h = Histogram("h", buckets=self.BUCKETS)
@@ -276,13 +338,13 @@ class TestHistogramBind:
             "0003": self.VALUES[::-1],
         }
         merged = {}
-        for bound in (True, False):
+        for how in ("handles", "one handle", "keyword"):
             reg = Registry()
             for node, values in shards.items():
-                reg.merge(self._node_registry(node, values, bound=bound))
-            merged[bound] = reg.snapshot()
-        assert merged[True] == merged[False]
-        labels = [row["labels"]["node"] for row in merged[True]["lat"]["series"]]
+                reg.merge(self._node_registry(node, values, how=how))
+            merged[how] = reg.snapshot()
+        assert merged["handles"] == merged["one handle"] == merged["keyword"]
+        labels = [row["labels"]["node"] for row in merged["one handle"]["lat"]["series"]]
         assert labels == ["0000", "0002", "0003", "all"]
 
 
