@@ -3,7 +3,7 @@
 Paper shape: the weight is adjusted per retrieval within every analysis
 step and is gradually lowered as the accuracy level rises — the design
 that favours low accuracy.  (Uses the paper's total-cardinality weight
-reading; see plan_recomposition's ``weight_cardinality``.)
+reading; see PlanTable's ``weight_cardinality``.)
 """
 
 from repro.experiments.fig15 import run_fig15

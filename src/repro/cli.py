@@ -318,23 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     st.add_argument("--json", action="store_true", help="print a JSON summary")
     _add_obs_args(st)
 
-    io = sub.add_parser(
-        "iobench", help="fio-style sanity check of the simulated device model"
-    )
-    io.add_argument(
-        "--device",
-        default="seagate-hdd-2t",
-        help="device preset name (see repro.storage.device.DEVICE_PRESETS)",
-    )
-    io.add_argument("--readers", type=int, default=1)
-    io.add_argument("--writers", type=int, default=0)
-    io.add_argument("--size-mb", type=int, default=500, help="per-stream bytes")
-    io.add_argument(
-        "--weights",
-        default="",
-        help="comma-separated blkio weights, one per stream (default all 100)",
-    )
-
     exp = sub.add_parser("export", help="run an artifact and write JSON plot data")
     exp.add_argument("name", choices=sorted(FIGURES))
     exp.add_argument("path", help="output JSON file")
@@ -489,61 +472,6 @@ def _cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_iobench(args: argparse.Namespace) -> int:
-    from repro.simkernel import Simulation
-    from repro.storage.cgroup import CgroupController
-    from repro.storage.device import DEVICE_PRESETS, BlockDevice
-    from repro.util.units import bytes_to_mb, mb_to_bytes
-
-    try:
-        spec = DEVICE_PRESETS[args.device]
-    except KeyError:
-        print(f"unknown device {args.device!r}; presets: {sorted(DEVICE_PRESETS)}",
-              file=sys.stderr)
-        return 2
-    n = args.readers + args.writers
-    if n < 1:
-        print("need at least one stream", file=sys.stderr)
-        return 2
-    weights = [int(w) for w in args.weights.split(",") if w] or [100] * n
-    if len(weights) != n:
-        print(f"{n} streams but {len(weights)} weights", file=sys.stderr)
-        return 2
-
-    sim = Simulation()
-    device = BlockDevice(sim, spec)
-    cgroups = CgroupController()
-    results: dict[str, object] = {}
-
-    def worker(tag, direction, weight):
-        cg = cgroups.create(tag, weight)
-        stats = yield device.submit(cg, int(mb_to_bytes(args.size_mb)), direction)
-        results[tag] = stats
-
-    idx = 0
-    for _ in range(args.readers):
-        sim.process(worker(f"read-{idx}", "read", weights[idx]))
-        idx += 1
-    for _ in range(args.writers):
-        sim.process(worker(f"write-{idx}", "write", weights[idx]))
-        idx += 1
-    sim.run()
-
-    print(f"device {spec.name}: {args.readers} readers + {args.writers} writers, "
-          f"{args.size_mb} MB each")
-    for tag in sorted(results):
-        stats = results[tag]
-        print(
-            f"  {tag:10s} weight={weights[int(tag.split('-')[1])]:4d}  "
-            f"elapsed={stats.elapsed:7.2f} s  "
-            f"avg={bytes_to_mb(stats.effective_bandwidth):6.1f} MB/s"
-        )
-    total = sum(device.bytes_moved.values())
-    print(f"  aggregate: {bytes_to_mb(total):.0f} MB in {sim.now:.2f} s "
-          f"({bytes_to_mb(total / sim.now):.1f} MB/s)")
-    return 0
-
-
 def _cmd_export(args: argparse.Namespace) -> int:
     from repro.experiments.export import export_figure
 
@@ -626,7 +554,6 @@ def main(argv: list[str] | None = None) -> int:
         "scenario": _cmd_scenario,
         "figure": _cmd_figure,
         "stability": _cmd_stability,
-        "iobench": _cmd_iobench,
         "export": _cmd_export,
         "cluster": _cmd_cluster,
         "tables": _cmd_tables,

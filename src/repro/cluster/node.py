@@ -99,7 +99,6 @@ class NodeState:
         self.msgs_received = 0
         # -- per-round accounting (reset by begin_round) ------------------
         self.demand_bytes_round = 0.0
-        self.consumed_round = 0.0
         # Per-tenant demand: the node offers ``demand_multiplier × fair
         # share`` split evenly over its tenants; request sizes jitter
         # ±50 % and interarrivals are exponential, all from this node's
@@ -120,7 +119,6 @@ class NodeState:
         """
         self.demand_bytes += nbytes
         self.demand_bytes_round += nbytes
-        self.consumed_round += nbytes
         delay = self.bucket.reserve(nbytes, now)
         return now + (delay + nbytes / self._peak_bw)
 
@@ -138,7 +136,6 @@ class NodeState:
     def begin_round(self) -> None:
         """Reset per-round accounting (called at each round start)."""
         self.demand_bytes_round = 0.0
-        self.consumed_round = 0.0
 
     def utilisation(self) -> float:
         """Tokens drawn this round over the round's refill budget.
@@ -147,7 +144,7 @@ class NodeState:
         by pushing the bucket anchor into the future).
         """
         budget = self.rate * self.config.round_interval
-        return self.consumed_round / budget if budget > 0 else 0.0
+        return self.demand_bytes_round / budget if budget > 0 else 0.0
 
     def set_rate(self, rate: float, now: float) -> None:
         """Move this node's bandwidth share (arbitration's only lever)."""

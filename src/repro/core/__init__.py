@@ -20,7 +20,7 @@ from repro.core.error_control import (
     AccuracyLadder,
     build_ladder,
 )
-from repro.core.recompose import recompose_to_bound, RecompositionPlan, plan_recomposition
+from repro.core.recompose import RecompositionPlan
 from repro.core.estimator import DFTEstimator, MeanEstimator, LastValueEstimator
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.weights import WeightFunction, BLKIO_WEIGHT_MIN, BLKIO_WEIGHT_MAX
@@ -67,9 +67,7 @@ __all__ = [
     "AugmentationBucket",
     "AccuracyLadder",
     "build_ladder",
-    "recompose_to_bound",
     "RecompositionPlan",
-    "plan_recomposition",
     "DFTEstimator",
     "MeanEstimator",
     "LastValueEstimator",

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import importlib
 
-from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import AccuracyLadder
-from repro.core.recompose import PlanTable, RecompositionPlan, plan_recomposition
+from repro.core.recompose import PlanTable
 from repro.core.weights import WeightFunction, calibrate_weight_function
 from repro.engine.registry import POLICIES, register_policy
 
@@ -48,7 +47,7 @@ class Policy:
 
     ``weight_cardinality`` selects the |Aug| the weight function sees per
     retrieval ("bucket" or "total"; see
-    :func:`repro.core.recompose.plan_recomposition`).
+    :class:`repro.core.recompose.PlanTable`).
     """
 
     name: str = "abstract"
@@ -94,39 +93,14 @@ class Policy:
 
         A controller builds one at its first decision and plans every
         step through it with ``adaptive=self.app_adaptive`` (``False`` in
-        the weights-only degradation mode).  Each plan ``==`` what
-        :meth:`plan` returns for the same inputs.
+        the weights-only degradation mode).  This is the one planning
+        path: a policy that plans differently overrides this method.
         """
         return PlanTable(
             ladder,
             prescribed_bound,
             self.weight_fn,
             priority,
-            weight_cardinality=self.weight_cardinality,
-        )
-
-    def plan(
-        self,
-        ladder: AccuracyLadder,
-        prescribed_bound: float,
-        predicted_bw: float,
-        abplot: AugmentationBandwidthPlot,
-        priority: float,
-        *,
-        adaptive: bool | None = None,
-    ) -> RecompositionPlan:
-        """Plan one retrieval from scratch.  ``adaptive`` overrides the
-        policy's own application-layer adaptivity (the controller's
-        weights-only degradation mode forces full retrieval regardless of
-        policy)."""
-        return plan_recomposition(
-            ladder,
-            prescribed_bound,
-            predicted_bw,
-            abplot,
-            weight_fn=self.weight_fn,
-            priority=priority,
-            adaptive=self.app_adaptive if adaptive is None else adaptive,
             weight_cardinality=self.weight_cardinality,
         )
 

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import AccuracyLadder, AugmentationBucket
 from repro.core.weights import WeightFunction
@@ -29,8 +27,6 @@ __all__ = [
     "RetrievalStep",
     "RecompositionPlan",
     "PlanTable",
-    "plan_recomposition",
-    "recompose_to_bound",
 ]
 
 
@@ -103,10 +99,27 @@ class PlanTable:
     raises ``ValueError`` here) and each ``k``'s steps the first time
     ``k`` is planned; :meth:`plan` then only maps the bandwidth to the
     abplot degree and the estimated rung ``j`` and takes
-    ``k = max(i, j)``.  :func:`plan_recomposition` plans through a
-    one-shot table, so a table's plans ``==`` the stateless ones.
+    ``k = max(i, j)``.  A controller builds its table through its policy's
+    :meth:`~repro.core.controller.Policy.plan_table`.
 
-    Parameters are those of :func:`plan_recomposition`.
+    Parameters
+    ----------
+    ladder:
+        The staged accuracy ladder for the dataset being analysed.
+    prescribed_bound:
+        The user's error bound ε_i in the ladder's metric.  Buckets up to
+        rung ``i`` are retrieved regardless of interference.
+    weight_fn, priority:
+        The storage-coordination inputs.  ``weight_fn=None`` leaves blkio
+        weights untouched (application-layer-only adaptivity).
+    weight_cardinality:
+        Which |Aug| the weight function sees per retrieval.  ``"bucket"``
+        uses each bucket's own cardinality (the literal reading of
+        ``w(|Aug_{ε_m}|, ε_m, p)``); ``"total"`` uses the step's total
+        planned cardinality for every retrieval, so within a step only
+        the accuracy term varies — the reading behind the paper's
+        falling Fig. 15 trace ("proportional to the cardinality of the
+        *total* augmentations").
     """
 
     def __init__(
@@ -162,7 +175,13 @@ class PlanTable:
         *,
         adaptive: bool = True,
     ) -> RecompositionPlan:
-        """The plan for one step's bandwidth prediction (lines 6–9)."""
+        """The plan for one step's bandwidth prediction (lines 6–9).
+
+        ``predicted_bw`` is ``B̃W_s`` from the interference estimator,
+        bytes/second.  With ``adaptive=False`` the estimate is ignored and
+        a full augmentation is planned (the no-adaptivity / storage-only
+        baselines, and the weights-only degradation mode).
+        """
         if not math.isfinite(predicted_bw):
             raise ValueError(f"predicted_bw must be finite, got {predicted_bw!r}")
         if adaptive:
@@ -180,58 +199,3 @@ class PlanTable:
             augmentation_degree=degree,
             steps=self.steps(target),
         )
-
-
-def plan_recomposition(
-    ladder: AccuracyLadder,
-    prescribed_bound: float,
-    predicted_bw: float,
-    abplot: AugmentationBandwidthPlot,
-    weight_fn: WeightFunction | None = None,
-    priority: float = 1.0,
-    *,
-    adaptive: bool = True,
-    weight_cardinality: str = "bucket",
-) -> RecompositionPlan:
-    """Decision phase of Algorithm 1.
-
-    Parameters
-    ----------
-    ladder:
-        The staged accuracy ladder for the dataset being analysed.
-    prescribed_bound:
-        The user's error bound ε_i in the ladder's metric.  Buckets up to
-        rung ``i`` are retrieved regardless of interference.
-    predicted_bw:
-        ``B̃W_s`` from the interference estimator, bytes/second.
-    abplot, weight_fn, priority:
-        The storage-coordination inputs.  ``weight_fn=None`` leaves blkio
-        weights untouched (application-layer-only adaptivity).
-    adaptive:
-        When False the estimate is ignored and a full augmentation is
-        planned (the no-adaptivity / storage-only baselines).
-    weight_cardinality:
-        Which |Aug| the weight function sees per retrieval.  ``"bucket"``
-        uses each bucket's own cardinality (the literal reading of
-        ``w(|Aug_{ε_m}|, ε_m, p)``); ``"total"`` uses the step's total
-        planned cardinality for every retrieval, so within a step only
-        the accuracy term varies — the reading behind the paper's
-        falling Fig. 15 trace ("proportional to the cardinality of the
-        *total* augmentations").
-
-    A controller plans every step through its own :class:`PlanTable`
-    instead, which reaches the same plan without rebuilding the steps.
-    """
-    # Checked before the table is built: a non-finite prediction is the
-    # error reported even when the bound or the cardinality mode is bad too.
-    if not math.isfinite(predicted_bw):
-        raise ValueError(f"predicted_bw must be finite, got {predicted_bw!r}")
-    table = PlanTable(
-        ladder, prescribed_bound, weight_fn, priority, weight_cardinality=weight_cardinality
-    )
-    return table.plan(predicted_bw, abplot, adaptive=adaptive)
-
-
-def recompose_to_bound(ladder: AccuracyLadder, plan: RecompositionPlan) -> np.ndarray:
-    """Lines 14–23 of Algorithm 1: prolongate-and-add up to the plan's rung."""
-    return ladder.reconstruct(plan.target_rung)

@@ -393,23 +393,6 @@ class ScenarioSession:
         """Register a hook to run after the loop, before containers stop."""
         self._teardowns.append(fn)
 
-    @staticmethod
-    def run_cluster(cluster_config):
-        """Scale out: run a node-sharded cluster scenario.
-
-        A :class:`~repro.cluster.ClusterConfig` describes ``n_nodes``
-        token-governed nodes partitioned over shard simulations; each
-        shard is its own event loop (one session-equivalent per node
-        group), advanced in bounded-lag rounds on a worker pool.  This is
-        the session-level entry point so scripts composing single-node
-        sessions reach cluster scale from the same class; it simply
-        defers to :func:`repro.cluster.run_cluster` (imported lazily —
-        cluster runs are opt-in).
-        """
-        from repro.cluster import run_cluster
-
-        return run_cluster(cluster_config)
-
     def default_horizon(self) -> float:
         """The legacy single-node wall: every step plus a grace period."""
         return self.config.max_steps * self.config.period + 600.0

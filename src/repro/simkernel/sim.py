@@ -295,32 +295,6 @@ class Simulation:
 
     # -- running -----------------------------------------------------------
 
-    def step(self) -> bool:
-        """Execute the next callback.  Returns False when nothing is left."""
-        ready = self._ready
-        while True:
-            idx = self._ready_idx
-            if idx < len(ready):
-                entry = ready[idx]
-                self._ready_idx = idx + 1
-                if entry.cancelled:
-                    self._discards += 1
-                    continue
-                entry.executed = True
-                self._live -= 1
-                self._executed += 1
-                self._dispatching = True
-                try:
-                    entry.callback(*entry.args)
-                finally:
-                    self._dispatching = False
-                return True
-            if ready:
-                del ready[:]
-                self._ready_idx = 0
-            if not self._pop_epoch(None):
-                return False
-
     def _pop_epoch(self, until: float | None) -> bool:
         """Move every live entry at the earliest timestamp into ``_ready``.
 

@@ -16,7 +16,6 @@ from repro.storage.staging import (
     stage_dataset,
     stage_timeseries,
 )
-from repro.storage.pagecache import PageCache
 from repro.storage.stats import DeviceSample, DeviceSampler
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "stage_dataset",
     "TimeSeriesDataset",
     "stage_timeseries",
-    "PageCache",
     "DeviceSample",
     "DeviceSampler",
 ]

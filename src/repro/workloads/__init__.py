@@ -1,23 +1,14 @@
-"""Workload generators: the I(C^x W)*F application pattern, the Table IV
-interfering checkpoint containers, and the adaptive analytics driver that
-executes Algorithm 1 against the simulated storage."""
+"""Workload generators: the Table IV interfering checkpoint containers
+(the paper's I(C^x W)*F pattern: each container's period stands for C^x
+and its checkpoint is the W phase), container churn, and the adaptive
+analytics driver that executes Algorithm 1 against the simulated
+storage."""
 
-from repro.workloads.patterns import ApplicationPattern, pattern_workload
 from repro.workloads.noise import NoiseSpec, TABLE_IV_NOISE, checkpoint_workload, launch_noise
 from repro.workloads.analytics import AnalyticsDriver, StepRecord
 from repro.workloads.churn import ChurnSpec, churn_driver, launch_churn
-from repro.workloads.replay import (
-    TraceEvent,
-    launch_replay,
-    replay_workload,
-    synthesize_trace,
-    trace_from_csv,
-    trace_to_csv,
-)
 
 __all__ = [
-    "ApplicationPattern",
-    "pattern_workload",
     "NoiseSpec",
     "TABLE_IV_NOISE",
     "checkpoint_workload",
@@ -27,10 +18,4 @@ __all__ = [
     "ChurnSpec",
     "churn_driver",
     "launch_churn",
-    "TraceEvent",
-    "launch_replay",
-    "replay_workload",
-    "synthesize_trace",
-    "trace_from_csv",
-    "trace_to_csv",
 ]

@@ -106,13 +106,21 @@ class TestRunnerModuleShim:
 def _removed_spellings():
     """Each removed spelling (a shim whose one-release deprecation window
     has passed, or a retired option), as (call, exception it now raises)."""
+    import importlib
+
+    import repro.core
     import repro.experiments.runner as runner
+    import repro.storage
+    import repro.workloads
     from repro.api import TokenBucket
     from repro.cli import main as cli_main
     from repro.control import TangoController
+    from repro.core import recompose
     from repro.core.abplot import AugmentationBandwidthPlot
+    from repro.core.controller import NoAdaptivityPolicy
     from repro.core.error_control import ErrorMetric, build_ladder
     from repro.engine import memo
+    from repro.engine.session import ScenarioSession
     from repro.experiments.campaign import CampaignConfig
     from repro.experiments.config import ScenarioConfig
     from repro.experiments.fig16 import run_fig16
@@ -165,6 +173,38 @@ def _removed_spellings():
         "token_bucket_admission_delay": (
             lambda: TokenBucket(1.0, 1.0).admission_delay, AttributeError
         ),
+        "cli_iobench_subcommand": (lambda: cli_main(["iobench"]), SystemExit),
+        "simulation_step": (lambda: Simulation().step, AttributeError),
+        "policy_plan": (lambda: NoAdaptivityPolicy().plan, AttributeError),
+        "scenario_session_run_cluster": (
+            lambda: ScenarioSession.run_cluster, AttributeError
+        ),
+        "core_plan_recomposition": (lambda: repro.core.plan_recomposition, AttributeError),
+        "recompose_to_bound": (lambda: recompose.recompose_to_bound, AttributeError),
+        "storage_page_cache": (lambda: repro.storage.PageCache, AttributeError),
+        **{
+            f"workloads_{name}": (lambda name=name: getattr(repro.workloads, name), AttributeError)
+            for name in (
+                "ApplicationPattern",
+                "pattern_workload",
+                "TraceEvent",
+                "launch_replay",
+                "replay_workload",
+                "synthesize_trace",
+                "trace_from_csv",
+                "trace_to_csv",
+            )
+        },
+        **{
+            f"module_{module}": (
+                lambda module=module: importlib.import_module(module), ModuleNotFoundError
+            )
+            for module in (
+                "repro.storage.pagecache",
+                "repro.workloads.patterns",
+                "repro.workloads.replay",
+            )
+        },
     }
 
 

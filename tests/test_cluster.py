@@ -28,7 +28,6 @@ from repro.cluster import (
     run_cluster,
 )
 from repro.cluster import pool as shard_pool
-from repro.engine.session import ScenarioSession
 from repro.experiments import cluster as cluster_experiment
 from repro.experiments.cluster import run_cluster_compare
 
@@ -232,10 +231,6 @@ class TestRunClusterSerial:
             run_cluster(cfg).fingerprint()
             != run_cluster(cfg.with_(seed=cfg.seed + 1)).fingerprint()
         )
-
-    def test_session_entry_point_defers(self):
-        res = ScenarioSession.run_cluster(_tiny(rounds=3))
-        assert res.events_executed > 0
 
     def test_workers_without_a_pool_stay_in_process(self, monkeypatch):
         # ``config.workers`` sizes make_shard_pool(config); run_cluster

@@ -73,24 +73,30 @@ class TestPolicyFactory:
         assert AppOnlyPolicy(weight_fn).weight_fn is None
 
 
+def _plan(policy, ladder, bound, predicted_bw, abplot, priority):
+    """One step's plan the way a controller makes it."""
+    table = policy.plan_table(ladder, bound, priority)
+    return table.plan(predicted_bw, abplot, adaptive=policy.app_adaptive)
+
+
 class TestPolicyPlans:
     def test_no_adaptivity_always_full(self, ladder, abplot):
-        plan = NoAdaptivityPolicy().plan(ladder, 0.1, mb_per_s(1), abplot, 1.0)
+        plan = _plan(NoAdaptivityPolicy(), ladder, 0.1, mb_per_s(1), abplot, 1.0)
         assert plan.target_rung == ladder.num_buckets
         assert all(s.weight is None for s in plan.steps)
 
     def test_storage_only_full_with_weights(self, ladder, abplot, weight_fn):
-        plan = StorageOnlyPolicy(weight_fn).plan(ladder, 0.1, mb_per_s(1), abplot, 1.0)
+        plan = _plan(StorageOnlyPolicy(weight_fn), ladder, 0.1, mb_per_s(1), abplot, 1.0)
         assert plan.target_rung == ladder.num_buckets
         assert all(s.weight is not None for s in plan.steps)
 
     def test_app_only_adapts_without_weights(self, ladder, abplot):
-        plan = AppOnlyPolicy().plan(ladder, ladder.base_error * 2, mb_per_s(1), abplot, 1.0)
+        plan = _plan(AppOnlyPolicy(), ladder, ladder.base_error * 2, mb_per_s(1), abplot, 1.0)
         assert plan.total_augmentation_bytes == 0
         assert all(s.weight is None for s in plan.steps)
 
     def test_cross_layer_adapts_with_weights(self, ladder, abplot, weight_fn):
-        plan = CrossLayerPolicy(weight_fn).plan(ladder, 0.001, mb_per_s(500), abplot, 5.0)
+        plan = _plan(CrossLayerPolicy(weight_fn), ladder, 0.001, mb_per_s(500), abplot, 5.0)
         assert plan.target_rung == ladder.num_buckets
         assert all(s.weight is not None for s in plan.steps)
 

@@ -1,8 +1,6 @@
 """Fault-injection tests: media errors, retries, and driver resilience."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.containers import ContainerRuntime
 from repro.core.abplot import AugmentationBandwidthPlot
@@ -10,8 +8,6 @@ from repro.control import ControllerConfig, TangoController
 from repro.core.controller import make_policy
 from repro.core.error_control import ErrorMetric, build_ladder
 from repro.core.refactor import decompose
-from repro.simkernel import Simulation
-from repro.storage.pagecache import PageCache
 from repro.storage.staging import stage_dataset
 from repro.storage.tier import TieredStorage
 from repro.util.units import mb_per_s, mb_to_bytes
@@ -126,36 +122,3 @@ class TestDriverResilience:
         storage.slowest.device.inject_failures(5)
         sim.run(until=1000.0)
         assert len(driver.records) == 6
-
-
-class TestPageCacheProperties:
-    @given(
-        sizes=st.lists(st.integers(1, 400), min_size=1, max_size=10),
-        dirty_mb=st.integers(16, 256),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_property_bytes_conserved(self, sizes, dirty_mb):
-        """Whatever the write mix and dirty limit, every byte reaches the
-        device exactly once and the cache drains."""
-        from repro.storage.cgroup import CgroupController
-        from repro.storage.device import BlockDevice, DeviceSpec
-        from repro.util.units import GiB
-
-        sim = Simulation()
-        device = BlockDevice(
-            sim,
-            DeviceSpec("d", read_bw=mb_per_s(200), write_bw=mb_per_s(120),
-                       seek_time=0.0, capacity=8 * GiB),
-        )
-        cache = PageCache(sim, device, dirty_limit=int(mb_to_bytes(dirty_mb)))
-        cgroups = CgroupController()
-        events = [
-            cache.buffered_write(cgroups.create(f"w{i}"), int(mb_to_bytes(mb)))
-            for i, mb in enumerate(sizes)
-        ]
-        sim.run()
-        assert all(ev.triggered for ev in events)
-        total = sum(mb_to_bytes(mb) for mb in sizes)
-        assert cache.bytes_flushed == pytest.approx(total)
-        assert cache.dirty_bytes == 0
-        assert device.bytes_moved["write"] == pytest.approx(total)

@@ -150,11 +150,12 @@ class TestFormulas:
         """Algorithm 1 line 7: k ← max(i, j)."""
         from repro.core.abplot import AugmentationBandwidthPlot
         from repro.core.error_control import ErrorMetric, build_ladder
-        from repro.core.recompose import plan_recomposition
+        from repro.core.recompose import PlanTable
         from repro.core.refactor import decompose
 
         ladder = build_ladder(decompose(smooth_field, 3), [0.1, 0.01], ErrorMetric.NRMSE)
         ab = AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
+        table = PlanTable(ladder, 0.01)
         for bw in (mb_per_s(5), mb_per_s(75), mb_per_s(500)):
-            plan = plan_recomposition(ladder, 0.01, bw, ab)
+            plan = table.plan(bw, ab)
             assert plan.target_rung == max(plan.prescribed_rung, plan.estimated_rung)

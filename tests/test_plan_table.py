@@ -1,10 +1,10 @@
 """A controller's plan table gives exactly the stateless plans.
 
-``BaseController.decide`` plans through a per-controller
-:class:`~repro.core.recompose.PlanTable` instead of calling
-``plan_recomposition`` every step.  These tests pin that every decision's
-plan ``==`` a fresh ``plan_recomposition`` of the same inputs, for every
-policy, weight-cardinality reading and degradation mode.
+``BaseController.decide`` plans every step through one per-controller
+:class:`~repro.core.recompose.PlanTable`, which caches each target
+rung's retrieval steps.  These tests pin that every decision's plan
+``==`` a fresh table's plan of the same inputs, for every policy,
+weight-cardinality reading and degradation mode.
 """
 
 from functools import lru_cache
@@ -21,7 +21,7 @@ from repro.control import (
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.controller import POLICY_NAMES, make_policy
 from repro.core.error_control import ErrorMetric, build_ladder
-from repro.core.recompose import PlanTable, plan_recomposition
+from repro.core.recompose import PlanTable
 from repro.core.refactor import decompose
 from repro.engine.registry import POLICIES
 from repro.faults.degradation import (
@@ -92,19 +92,20 @@ def _assert_steps(ctrl, plan):
 
 
 def _assert_stateless(ctrl):
-    """Every decision's plan equals a fresh ``plan_recomposition``."""
+    """Every decision's plan equals a fresh table's plan."""
     policy = ctrl.policy
     for dec in ctrl.decisions:
         _assert_steps(ctrl, dec.plan)
-        expected = plan_recomposition(
+        expected = PlanTable(
             ctrl.ladder,
             ctrl.prescribed_bound,
-            dec.predicted_bw,
-            ctrl.abplot,
             policy.weight_fn,
             ctrl.priority,
-            adaptive=False if dec.mode == MODE_WEIGHTS_ONLY else policy.app_adaptive,
             weight_cardinality=policy.weight_cardinality,
+        ).plan(
+            dec.predicted_bw,
+            ctrl.abplot,
+            adaptive=False if dec.mode == MODE_WEIGHTS_ONLY else policy.app_adaptive,
         )
         assert dec.plan == expected, (dec.step, dec.mode, dec.predicted_bw)
 
@@ -195,7 +196,7 @@ def test_table_is_per_controller():
     assert b._plans is not table
 
 
-def test_table_validates_like_plan_recomposition():
+def test_table_validates_its_inputs():
     ladder = _ladder()
     with pytest.raises(ValueError, match="weight_cardinality"):
         PlanTable(ladder, 0.1, weight_cardinality="mean")

@@ -1,11 +1,10 @@
 """Tests for repro.core.recompose — Algorithm 1's decision phase."""
 
-import numpy as np
 import pytest
 
 from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.error_control import ErrorMetric, build_ladder
-from repro.core.recompose import plan_recomposition, recompose_to_bound
+from repro.core.recompose import PlanTable
 from repro.core.refactor import decompose
 from repro.core.weights import WeightFunction
 from repro.util.units import mb_per_s
@@ -34,7 +33,7 @@ def weight_fn(ladder):
 
 class TestPlanBasics:
     def test_high_bandwidth_full_augmentation(self, ladder, abplot):
-        plan = plan_recomposition(ladder, 0.1, mb_per_s(200), abplot)
+        plan = PlanTable(ladder, 0.1).plan(mb_per_s(200), abplot)
         assert plan.augmentation_degree == 1.0
         assert plan.estimated_rung == ladder.num_buckets
         assert plan.target_rung == ladder.num_buckets
@@ -45,14 +44,14 @@ class TestPlanBasics:
         Zero-cardinality rungs are reachable at zero cost, so the
         estimated rung may be positive — but no bytes move.
         """
-        plan = plan_recomposition(ladder, ladder.base_error * 2, mb_per_s(10), abplot)
+        plan = PlanTable(ladder, ladder.base_error * 2).plan(mb_per_s(10), abplot)
         assert plan.augmentation_degree == 0.0
         assert plan.total_augmentation_bytes == 0
         assert not plan.retrieves_augmentation
 
     def test_prescribed_bound_mandates_rung(self, ladder, abplot):
         """k = max(i, j): even under congestion, the error bound wins."""
-        plan = plan_recomposition(ladder, 0.001, mb_per_s(5), abplot)
+        plan = PlanTable(ladder, 0.001).plan(mb_per_s(5), abplot)
         i = ladder.find_bucket_for_bound(0.001)
         assert plan.prescribed_rung == i
         assert plan.target_rung == i
@@ -63,46 +62,46 @@ class TestPlanBasics:
         assert est_stop == 0
 
     def test_estimate_can_exceed_prescription(self, ladder, abplot):
-        plan = plan_recomposition(ladder, 0.1, mb_per_s(500), abplot)
+        plan = PlanTable(ladder, 0.1).plan(mb_per_s(500), abplot)
         assert plan.target_rung == max(plan.prescribed_rung, plan.estimated_rung)
         assert plan.target_rung == ladder.num_buckets
 
     def test_steps_cover_rungs(self, ladder, abplot):
-        plan = plan_recomposition(ladder, 0.001, mb_per_s(500), abplot)
+        plan = PlanTable(ladder, 0.001).plan(mb_per_s(500), abplot)
         assert [s.bucket.index for s in plan.steps] == list(
             range(1, plan.target_rung + 1)
         )
 
     def test_non_adaptive_ignores_estimate(self, ladder, abplot):
-        plan = plan_recomposition(
-            ladder, ladder.base_error * 2, mb_per_s(1), abplot, adaptive=False
+        plan = PlanTable(ladder, ladder.base_error * 2).plan(
+            mb_per_s(1), abplot, adaptive=False
         )
         assert plan.target_rung == ladder.num_buckets
         assert plan.augmentation_degree == 1.0
 
     def test_nan_bandwidth_rejected(self, ladder, abplot):
         with pytest.raises(ValueError):
-            plan_recomposition(ladder, 0.1, float("nan"), abplot)
+            PlanTable(ladder, 0.1).plan(float("nan"), abplot)
 
 
 class TestPlanWeights:
     def test_no_weight_fn_gives_none(self, ladder, abplot):
-        plan = plan_recomposition(ladder, 0.001, mb_per_s(500), abplot)
+        plan = PlanTable(ladder, 0.001).plan(mb_per_s(500), abplot)
         assert all(s.weight is None for s in plan.steps)
 
     def test_weight_fn_applied_per_bucket(self, ladder, abplot, weight_fn):
-        plan = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot, weight_fn=weight_fn, priority=10.0
+        plan = PlanTable(ladder, 0.001, weight_fn=weight_fn, priority=10.0).plan(
+            mb_per_s(500), abplot
         )
         for s in plan.steps:
             assert s.weight == weight_fn(s.bucket.cardinality, s.bucket.bound, 10.0)
 
     def test_priority_raises_weights(self, ladder, abplot, weight_fn):
-        lo = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot, weight_fn=weight_fn, priority=1.0
+        lo = PlanTable(ladder, 0.001, weight_fn=weight_fn, priority=1.0).plan(
+            mb_per_s(500), abplot
         )
-        hi = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot, weight_fn=weight_fn, priority=10.0
+        hi = PlanTable(ladder, 0.001, weight_fn=weight_fn, priority=10.0).plan(
+            mb_per_s(500), abplot
         )
         pairs = [
             (a.weight, b.weight)
@@ -114,12 +113,12 @@ class TestPlanWeights:
 
 class TestPlanAccounting:
     def test_total_bytes(self, ladder, abplot):
-        plan = plan_recomposition(ladder, 0.001, mb_per_s(500), abplot)
+        plan = PlanTable(ladder, 0.001).plan(mb_per_s(500), abplot)
         assert plan.total_augmentation_bytes == sum(s.bucket.nbytes for s in plan.steps)
 
     def test_retrieves_augmentation_flag(self, ladder, abplot):
-        full = plan_recomposition(ladder, 0.001, mb_per_s(500), abplot)
-        none = plan_recomposition(ladder, ladder.base_error * 2, mb_per_s(1), abplot)
+        full = PlanTable(ladder, 0.001).plan(mb_per_s(500), abplot)
+        none = PlanTable(ladder, ladder.base_error * 2).plan(mb_per_s(1), abplot)
         assert full.retrieves_augmentation
         assert not none.retrieves_augmentation
 
@@ -128,46 +127,41 @@ class TestWeightCardinalityModes:
     def test_total_mode_monotone_decreasing(self, ladder, abplot, weight_fn):
         """With total cardinality only the accuracy term varies, so the
         within-step weight trace falls (the paper's Fig. 15 shape)."""
-        plan = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot,
-            weight_fn=weight_fn, priority=10.0, weight_cardinality="total",
-        )
+        plan = PlanTable(
+            ladder, 0.001, weight_fn=weight_fn, priority=10.0, weight_cardinality="total"
+        ).plan(mb_per_s(500), abplot)
         weights = [s.weight for s in plan.steps]
         assert weights == sorted(weights, reverse=True)
 
     def test_total_mode_uses_step_total(self, ladder, abplot, weight_fn):
-        plan = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot,
-            weight_fn=weight_fn, priority=10.0, weight_cardinality="total",
-        )
+        plan = PlanTable(
+            ladder, 0.001, weight_fn=weight_fn, priority=10.0, weight_cardinality="total"
+        ).plan(mb_per_s(500), abplot)
         total = sum(s.bucket.cardinality for s in plan.steps)
         for s in plan.steps:
             assert s.weight == weight_fn(total, s.bucket.bound, 10.0)
 
     def test_modes_differ_when_cardinalities_differ(self, ladder, abplot, weight_fn):
         kwargs = dict(weight_fn=weight_fn, priority=10.0)
-        bucket_plan = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot, **kwargs
-        )
-        total_plan = plan_recomposition(
-            ladder, 0.001, mb_per_s(500), abplot,
-            weight_cardinality="total", **kwargs,
-        )
+        bucket_plan = PlanTable(ladder, 0.001, **kwargs).plan(mb_per_s(500), abplot)
+        total_plan = PlanTable(
+            ladder, 0.001, weight_cardinality="total", **kwargs
+        ).plan(mb_per_s(500), abplot)
         assert [s.weight for s in bucket_plan.steps] != [
             s.weight for s in total_plan.steps
         ]
 
     def test_unknown_mode_rejected(self, ladder, abplot):
         with pytest.raises(ValueError, match="weight_cardinality"):
-            plan_recomposition(
-                ladder, 0.01, mb_per_s(100), abplot, weight_cardinality="median"
-            )
+            PlanTable(ladder, 0.01, weight_cardinality="median")
 
     def test_policy_threads_mode(self, ladder, abplot, weight_fn):
         from repro.core.controller import make_policy
 
         policy = make_policy("cross-layer", weight_fn, weight_cardinality="total")
-        plan = policy.plan(ladder, 0.001, mb_per_s(500), abplot, 10.0)
+        plan = policy.plan_table(ladder, 0.001, 10.0).plan(
+            mb_per_s(500), abplot, adaptive=policy.app_adaptive
+        )
         weights = [s.weight for s in plan.steps]
         assert weights == sorted(weights, reverse=True)
 
@@ -189,24 +183,21 @@ class TestPlanProperties:
         field = field + 0.02 * rng.standard_normal(field.shape)
         ladder = build_ladder(decompose(field, 3), [0.1, 0.01], ErrorMetric.NRMSE)
         abplot = AugmentationBandwidthPlot(bw_low=mb_per_s(30), bw_high=mb_per_s(120))
-        plan = plan_recomposition(ladder, 0.01, mb_per_s(bw_mb), abplot)
+        plan = PlanTable(ladder, 0.01).plan(mb_per_s(bw_mb), abplot)
         assert plan.target_rung == max(plan.prescribed_rung, plan.estimated_rung)
         assert plan.prescribed_rung == ladder.find_bucket_for_bound(0.01)
         assert len(plan.steps) == plan.target_rung
         # More predicted bandwidth never shrinks the plan.
-        richer = plan_recomposition(ladder, 0.01, mb_per_s(bw_mb) + 1e7, abplot)
+        richer = PlanTable(ladder, 0.01).plan(mb_per_s(bw_mb) + 1e7, abplot)
         assert richer.target_rung >= plan.target_rung
 
 
 class TestRecomposeToBound:
-    def test_matches_ladder_reconstruct(self, ladder, abplot, smooth_field):
-        plan = plan_recomposition(ladder, 0.01, mb_per_s(10), abplot)
-        rec = recompose_to_bound(ladder, plan)
-        np.testing.assert_allclose(rec, ladder.reconstruct(plan.target_rung))
+    """Lines 14–23: prolongate-and-add up to the plan's target rung."""
 
     def test_bound_satisfied(self, ladder, abplot, smooth_field):
         from repro.core.metrics import nrmse
 
-        plan = plan_recomposition(ladder, 0.01, mb_per_s(1), abplot)
-        rec = recompose_to_bound(ladder, plan)
+        plan = PlanTable(ladder, 0.01).plan(mb_per_s(1), abplot)
+        rec = ladder.reconstruct(plan.target_rung)
         assert nrmse(smooth_field, rec) <= 0.01 * (1 + 1e-9)

@@ -139,29 +139,6 @@ class TestCliCommands:
         data = json.loads(path.read_text())
         assert "weight_vs_cardinality" in data
 
-    def test_iobench_mixed(self, capsys):
-        assert main(["iobench", "--readers", "1", "--writers", "1",
-                     "--size-mb", "100"]) == 0
-        out = capsys.readouterr().out
-        assert "read-0" in out and "write-1" in out and "aggregate" in out
-
-    def test_iobench_weights(self, capsys):
-        assert main([
-            "iobench", "--device", "intel-ssd-400", "--readers", "2",
-            "--size-mb", "500", "--weights", "200,100",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "weight= 200" in out
-
-    def test_iobench_bad_device(self, capsys):
-        assert main(["iobench", "--device", "quantum-drive"]) == 2
-
-    def test_iobench_weight_count_mismatch(self, capsys):
-        assert main(["iobench", "--readers", "2", "--weights", "100"]) == 2
-
-    def test_iobench_no_streams(self, capsys):
-        assert main(["iobench", "--readers", "0", "--writers", "0"]) == 2
-
 
 class TestJsonNativeLists:
     """Regression: JSON output used to ship ``weights``/``bucket_times``

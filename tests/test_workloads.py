@@ -1,4 +1,4 @@
-"""Tests for repro.workloads — patterns, noise, and the analytics driver."""
+"""Tests for repro.workloads — noise and the analytics driver."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from repro.storage.tier import TieredStorage
 from repro.util.units import MiB, mb_per_s, mb_to_bytes
 from repro.workloads.analytics import AnalyticsDriver
 from repro.workloads.noise import TABLE_IV_NOISE, NoiseSpec, launch_noise
-from repro.workloads.patterns import ApplicationPattern, pattern_workload
 
 
 @pytest.fixture
@@ -26,53 +25,6 @@ def storage(sim):
 @pytest.fixture
 def runtime(sim):
     return ContainerRuntime(sim)
-
-
-class TestApplicationPattern:
-    def test_nominal_period(self):
-        p = ApplicationPattern(compute_duration=2.0, compute_iterations=5)
-        assert p.nominal_period == 10.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"compute_iterations": 0},
-            {"io_bytes": -1},
-            {"cycles": -1},
-            {"init_duration": -1.0},
-        ],
-    )
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            ApplicationPattern(**kwargs)
-
-    def test_icwf_lifecycle(self, sim, runtime, storage):
-        """I(C^x W)* F: init, x computes, one write per cycle, finalize."""
-        pattern = ApplicationPattern(
-            init_duration=5.0,
-            compute_duration=1.0,
-            compute_iterations=3,
-            io_bytes=int(mb_to_bytes(70)),  # 1 s at the HDD's 70 MB/s write
-            cycles=2,
-            finalize_duration=2.0,
-        )
-        c = runtime.create("app")
-        proc = sim.process(
-            pattern_workload(c, storage.slowest.filesystem, pattern)
-        )
-        c.attach(proc)
-        sim.run()
-        # 5 init + 2*(3 compute + 1 write) + 2 finalize = 15 s (+ seeks).
-        assert sim.now == pytest.approx(15.0, abs=0.1)
-        assert len(proc.result) == 2
-        assert all(w == pytest.approx(1.0, abs=0.05) for w in proc.result)
-
-    def test_no_io_pattern(self, sim, runtime, storage):
-        pattern = ApplicationPattern(compute_duration=1.0, cycles=3)
-        c = runtime.create("app")
-        proc = sim.process(pattern_workload(c, storage.slowest.filesystem, pattern))
-        sim.run()
-        assert proc.result == []
 
 
 class TestNoise:
