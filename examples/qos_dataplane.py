@@ -5,10 +5,10 @@ A latency-sensitive ``prod`` tenant and a best-effort ``batch`` tenant
 share a node with the Table IV checkpointing noise.  Instead of wiring
 weights and throttles by hand, each tenant's contract is a single
 declarative :class:`~repro.api.QosPolicy` — weight, token-bucket
-shaping, priority class, SLO target — and the scenario config selects
-the stage stack that enforces it (``"priority"`` adds per-device
-admission control).  The run reports per-tenant SLO scoring plus the
-plane's per-stage decision counters.
+shaping, priority class, SLO target — and the scenario config's
+``max_inflight`` turns on per-device priority admission control.  The
+run reports per-tenant SLO scoring plus the plane's per-stage decision
+counters.
 
 Run:  python examples/qos_dataplane.py
 """

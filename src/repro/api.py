@@ -45,24 +45,18 @@ from repro.dataplane import DataPlane, QosPolicy, SloTarget, TokenBucket
 # -- scenario engine -------------------------------------------------------
 from repro.engine.registry import (
     APPS,
-    CLASSIFY_STAGES,
     CONTROLLERS,
-    ENFORCE_STAGES,
     ESTIMATORS,
     FAULT_CAMPAIGNS,
     PLACEMENTS,
     POLICIES,
-    SCHEDULE_STAGES,
     STORAGE_PRESETS,
     register_app,
-    register_classify_stage,
     register_controller,
-    register_enforce_stage,
     register_estimator,
     register_fault_campaign,
     register_placement,
     register_policy,
-    register_schedule_stage,
     register_storage_preset,
 )
 from repro.engine.session import ScenarioSession, make_weight_function
@@ -131,16 +125,10 @@ __all__ = [
     "unpack_ladder",
     "unpack_partial",
     # QoS data plane
-    "CLASSIFY_STAGES",
-    "ENFORCE_STAGES",
-    "SCHEDULE_STAGES",
     "DataPlane",
     "QosPolicy",
     "SloTarget",
     "TokenBucket",
-    "register_classify_stage",
-    "register_enforce_stage",
-    "register_schedule_stage",
     # scenario engine
     "APPS",
     "ESTIMATORS",

@@ -2,18 +2,21 @@
 
 A :class:`DataPlane` sits between container I/O submission and the
 :class:`~repro.storage.device.BlockDevice`: every ``device.submit`` on an
-attached device routes through three programmable stages —
+attached device routes through one fixed pipeline —
 
-    submit ─▶ classify ─▶ enforce ─▶ schedule ─▶ device
-               (tenant,     (weight/caps,  (when it reaches
-                policy)      shaping delay)  the medium)
+    submit ─▶ tenant ─▶ enforce ─▶ schedule ─▶ device
+              (cgroup    (weight/caps,  (FIFO, or priority
+               name)      shaping delay) admission control)
 
-— each resolved by name from its :mod:`repro.engine.registry` registry,
-with per-tenant behaviour declared as :class:`~repro.dataplane.policy.QosPolicy`
-objects rather than code.  The default stack ``("cgroup", "blkio",
-"fifo")`` with no policies configured reproduces the pre-dataplane event
-sequence bit-for-bit (pinned by the recorded fingerprints in
-``tests/test_engine.py`` / ``tests/test_dataplane_guard.py``).
+— with per-tenant behaviour declared as
+:class:`~repro.dataplane.policy.QosPolicy` objects rather than code.
+The tenant is the cgroup (container) name, :class:`BlkioEnforcer`
+enforces its policy, and the scheduler is FIFO when ``max_inflight`` is
+None and priority admission control with ``max_inflight`` slots per
+device otherwise.  A FIFO plane with no policies configured reproduces
+the pre-dataplane event sequence bit-for-bit (pinned by the recorded
+fingerprints in ``tests/test_engine.py`` /
+``tests/test_dataplane_guard.py``).
 
 SLO targets on policies are scored per completion through the plane's
 :class:`~repro.dataplane.slo.SloBoard`; per-stage decisions and SLO
@@ -26,11 +29,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Mapping
 
 from repro.dataplane.slo import SloBoard
-from repro.dataplane.stages import IORequest
-from repro.engine.registry import (
-    CLASSIFY_STAGES,
-    ENFORCE_STAGES,
-    SCHEDULE_STAGES,
+from repro.dataplane.stages import (
+    BlkioEnforcer,
+    FifoScheduler,
+    IORequest,
+    PriorityScheduler,
 )
 from repro.obs import OBS
 
@@ -40,20 +43,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.cgroup import BlkioCgroup
     from repro.storage.device import BlockDevice
 
-__all__ = ["DEFAULT_STAGE_STACK", "DataPlane"]
-
-#: The stack that re-expresses the legacy weight/throttle mechanism.
-DEFAULT_STAGE_STACK: tuple[str, str, str] = ("cgroup", "blkio", "fifo")
+__all__ = ["DataPlane"]
 
 
 class DataPlane:
-    """A classify → enforce → schedule pipeline over block devices.
+    """A tenant → enforce → schedule pipeline over block devices.
 
-    ``policies`` maps tenant name (as produced by the classify stage —
-    the cgroup/container name for the default classifier) to
-    :class:`~repro.dataplane.policy.QosPolicy`.  ``stack`` names the
-    three stages; ``config`` is handed to each stage factory (duck-typed
-    scenario config, may be None).
+    ``policies`` maps tenant name (the cgroup/container name) to
+    :class:`~repro.dataplane.policy.QosPolicy`.  ``max_inflight=None``
+    dispatches in arrival order; an integer turns on priority admission
+    control with that many requests in flight per device.
     """
 
     def __init__(
@@ -61,24 +60,17 @@ class DataPlane:
         sim: "Simulation",
         *,
         policies: Mapping[str, "QosPolicy"] | None = None,
-        stack: tuple[str, str, str] = DEFAULT_STAGE_STACK,
-        config=None,
+        max_inflight: int | None = None,
     ) -> None:
-        if len(stack) != 3:
-            raise ValueError(
-                f"stage_stack must be (classify, enforce, schedule), got {stack!r}"
-            )
         self.sim = sim
         self.policies: dict[str, "QosPolicy"] = dict(policies or {})
-        self.stack = tuple(stack)
-        self.classifier = CLASSIFY_STAGES.create(stack[0], config)
-        self.enforcer = ENFORCE_STAGES.create(stack[1], config)
-        self.scheduler = SCHEDULE_STAGES.create(stack[2], config)
+        self.enforcer = BlkioEnforcer()
+        if max_inflight is None:
+            self.scheduler = FifoScheduler()
+        else:
+            self.scheduler = PriorityScheduler(max_inflight)
         self.slo = SloBoard()
-        self.devices: list["BlockDevice"] = []
         self._seq = 0
-
-    # -- wiring -----------------------------------------------------------
 
     def attach(self, device: "BlockDevice") -> None:
         """Route an attached device's submissions through this plane."""
@@ -87,14 +79,6 @@ class DataPlane:
                 f"device {device.name!r} is already attached to another plane"
             )
         device.dataplane = self
-        if device not in self.devices:
-            self.devices.append(device)
-
-    def set_policy(self, tenant: str, policy: "QosPolicy") -> None:
-        """Install (or replace) a tenant's policy at runtime."""
-        self.policies[tenant] = policy
-
-    # -- the pipeline ------------------------------------------------------
 
     def submit(
         self,
@@ -107,6 +91,8 @@ class DataPlane:
         """Run one request through the stages; called by ``device.submit``."""
         seq = self._seq
         self._seq = seq + 1
+        tenant = cgroup.name
+        policy = self.policies.get(tenant)
         req = IORequest(
             device=device,
             cgroup=cgroup,
@@ -115,31 +101,31 @@ class DataPlane:
             extents=extents,
             submitted_at=self.sim.now,
             seq=seq,
+            tenant=tenant,
+            policy=policy,
         )
-        self.classifier.classify(self, req)
         delay = self.enforcer.enforce(self, req)
-        policy = req.policy
         if OBS.enabled:
             OBS.registry.counter("dataplane.requests").inc(
-                tenant=req.tenant or "?",
+                tenant=tenant,
                 policy="yes" if policy is not None else "no",
             )
         ev = self.scheduler.dispatch(self, req, delay)
         if policy is not None:
-            tracker = self.slo.tracker(req.tenant, policy.slo)
+            tracker = self.slo.tracker(tenant, policy.slo)
             ev.add_callback(lambda e, t=tracker, r=req: t.observe(e, r))
         return ev
 
     def device_submit(self, req: IORequest) -> "Event":
-        """Hand a request to its device (schedule stages call this).
+        """Hand a request to its device (the schedulers call this).
 
         ``_submit_direct`` schedules the device's ``_start_stream``
         handler, which appends the request's demand row to the device's
         persistent SoA arrays.  ``_start_stream`` is batch-dispatchable:
         all requests landing at the same instant on one device (fan-out
-        bursts, zero-delay schedule stages) append their rows in one
-        group call followed by a single rate re-solve, instead of one
-        solve per request.
+        bursts, zero-delay dispatches) append their rows in one group
+        call followed by a single rate re-solve, instead of one solve
+        per request.
         """
         return req.device._submit_direct(
             req.cgroup,
@@ -151,6 +137,6 @@ class DataPlane:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<DataPlane stack={self.stack} policies={sorted(self.policies)} "
-            f"devices={[d.name for d in self.devices]}>"
+            f"<DataPlane scheduler={type(self.scheduler).__name__} "
+            f"policies={sorted(self.policies)}>"
         )

@@ -3,15 +3,15 @@
 A :class:`QosPolicy` is what used to be scattered imperative calls —
 ``set_blkio_weight``, ``set_throttle``, hand-rolled pacing — expressed as
 one frozen value object a config can carry, a sweep can expand, and the
-enforce stage can apply mechanically:
+plane's enforcer can apply mechanically:
 
 * ``weight`` — proportional blkio weight pushed at the tenant's cgroup;
 * ``read_cap_bps`` / ``write_cap_bps`` — hard per-direction throttles
   (cgroup ``blkio.throttle.*_bps_device``);
 * ``rate_bps`` + ``burst_bytes`` — token-bucket traffic shaping: admit
   up to ``burst_bytes`` instantly, then pace at ``rate_bps``;
-* ``priority`` — class used by the ``"priority"`` schedule stage for
-  admission ordering;
+* ``priority`` — class used by priority admission control (a plane
+  with ``max_inflight`` set) for admission ordering;
 * ``slo`` — a :class:`SloTarget` the plane scores completions against
   (violations are counted, never enforced — an SLO is an observation).
 
@@ -29,8 +29,8 @@ from repro.storage.limits import normalize_throttle, normalize_weight
 
 __all__ = ["PRIORITY_CLASSES", "QosPolicy", "SloTarget", "TokenBucket"]
 
-#: Admission-ordering classes for the "priority" schedule stage, lowest
-#: to highest service preference.
+#: Admission-ordering classes for priority admission control, lowest to
+#: highest service preference.
 PRIORITY_CLASSES = ("low", "normal", "high")
 
 #: SLO kinds: p99 completion latency ceiling (seconds) or effective

@@ -106,10 +106,6 @@ class SloBoard:
             self.trackers[tenant] = tracker
         return tracker
 
-    @property
-    def total_violations(self) -> int:
-        return sum(t.violations for t in self.trackers.values())
-
     def report(self) -> dict[str, dict]:
         """Per-tenant summaries keyed by tenant name (sorted)."""
         return {name: self.trackers[name].report() for name in sorted(self.trackers)}

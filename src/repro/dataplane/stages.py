@@ -1,27 +1,23 @@
-"""Built-in data-plane stages (classify → enforce → schedule).
+"""The data plane's stages: the request record, enforcement, scheduling.
 
-Each stage kind has its own registry in :mod:`repro.engine.registry`
-(``CLASSIFY_STAGES`` / ``ENFORCE_STAGES`` / ``SCHEDULE_STAGES``); a stage
-is created per plane by ``factory(config)`` where ``config`` is the
-scenario config, duck-typed.  The contracts are small:
+Every request goes through the same fixed pipeline
+(:class:`~repro.dataplane.pipeline.DataPlane`):
 
-* **classify**: ``classify(plane, request)`` fills ``request.tenant``
-  and ``request.policy`` (None when the tenant has no policy);
-* **enforce**: ``enforce(plane, request) -> float`` applies the policy's
-  control-plane knobs (weight, caps) and returns the traffic-shaping
-  delay in simulated seconds (0.0 = admit now);
-* **schedule**: ``dispatch(plane, request, delay) -> Event`` decides
-  when the request reaches the device and returns the event the caller
-  waits on.
+* the tenant *is* the cgroup (container) name, and its policy is the
+  plane's entry for that name (None when the tenant has none);
+* :class:`BlkioEnforcer` pushes the policy's control-plane knobs
+  (weight, caps) through the same cgroup interface the controller uses
+  and returns the traffic-shaping delay in simulated seconds (0.0 =
+  admit now);
+* the scheduler decides when the request reaches the device and returns
+  the event the caller waits on: :class:`FifoScheduler` when the plane
+  has no ``max_inflight``, :class:`PriorityScheduler` with that many
+  admission slots per device otherwise.
 
-The default stack ``("cgroup", "blkio", "fifo")`` re-expresses today's
-hard-wired mechanism: tenants are cgroups, the enforcer pushes the
-declarative weight/cap fields through the same cgroup interface the
-controller uses, and the FIFO scheduler hands an unshaped request to the
-device *synchronously* — with no policy configured every request takes
-the exact event path it took before the plane existed, which is what the
-pinned fingerprints in ``tests/test_engine.py`` and
-``tests/test_dataplane_guard.py`` enforce.
+With no policy configured, the FIFO scheduler hands every request to
+the device *synchronously*, so it takes the exact event path it took
+before the plane existed, which is what the pinned fingerprints in
+``tests/test_engine.py`` and ``tests/test_dataplane_guard.py`` enforce.
 """
 
 from __future__ import annotations
@@ -31,11 +27,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.dataplane.policy import TokenBucket
-from repro.engine.registry import (
-    register_classify_stage,
-    register_enforce_stage,
-    register_schedule_stage,
-)
 from repro.obs import OBS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,15 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.cgroup import BlkioCgroup
     from repro.storage.device import BlockDevice
 
-__all__ = [
-    "IORequest",
-    "CgroupClassifier",
-    "DirectionClassifier",
-    "BlkioEnforcer",
-    "NullEnforcer",
-    "FifoScheduler",
-    "PriorityScheduler",
-]
+__all__ = ["IORequest", "BlkioEnforcer", "FifoScheduler", "PriorityScheduler"]
 
 _PRIORITY_RANK = {"low": 0, "normal": 1, "high": 2}
 
@@ -69,8 +52,8 @@ class IORequest:
     extents: int
     submitted_at: float
     seq: int
-    tenant: str | None = None
-    policy: "QosPolicy | None" = None
+    tenant: str
+    policy: "QosPolicy | None"
 
     @property
     def priority_rank(self) -> int:
@@ -92,49 +75,13 @@ def _forward(source: "Event", proxy: "Event") -> None:
     source.add_callback(relay)
 
 
-# -- classify ---------------------------------------------------------------
-
-
-@register_classify_stage("cgroup")
-class CgroupClassifier:
-    """Default: the tenant *is* the cgroup (container) name."""
-
-    def __init__(self, config=None) -> None:
-        pass
-
-    def classify(self, plane: "DataPlane", req: IORequest) -> None:
-        req.tenant = req.cgroup.name
-        req.policy = plane.policies.get(req.tenant)
-
-
-@register_classify_stage("cgroup-direction")
-class DirectionClassifier:
-    """Split each cgroup into per-direction tenants (``name:read``).
-
-    Policy lookup falls back to the bare cgroup name, so one policy can
-    cover both directions while e.g. only writes get a shaping override.
-    """
-
-    def __init__(self, config=None) -> None:
-        pass
-
-    def classify(self, plane: "DataPlane", req: IORequest) -> None:
-        tenant = f"{req.cgroup.name}:{req.direction}"
-        req.tenant = tenant
-        policy = plane.policies.get(tenant)
-        if policy is None:
-            policy = plane.policies.get(req.cgroup.name)
-        req.policy = policy
-
-
 # -- enforce ----------------------------------------------------------------
 
 
-@register_enforce_stage("blkio")
 class BlkioEnforcer:
-    """Default: push policy knobs through the cgroup blkio interface.
+    """Push policy knobs through the cgroup blkio interface.
 
-    * ``weight`` is written once, at the tenant's first classified I/O —
+    * ``weight`` is written once, at the tenant's first I/O —
       it sets the *initial* proportional share; runtime controllers (the
       Tango adaptation loop) remain free to adjust it afterwards without
       the enforcer fighting them back.
@@ -143,10 +90,10 @@ class BlkioEnforcer:
     * ``rate_bps`` shapes admissions through a per-tenant
       :class:`~repro.dataplane.policy.TokenBucket` (burst =
       ``burst_bytes``, default one second of rate) and returns the
-      resulting delay for the schedule stage to apply.
+      resulting delay for the scheduler to apply.
     """
 
-    def __init__(self, config=None) -> None:
+    def __init__(self) -> None:
         self._weight_done: set[str] = set()
         self._caps_done: set[tuple[str, str]] = set()
         self._buckets: dict[str, TokenBucket] = {}
@@ -191,23 +138,11 @@ class BlkioEnforcer:
         return delay
 
 
-@register_enforce_stage("none")
-class NullEnforcer:
-    """Ablation baseline: classify tenants but enforce nothing."""
-
-    def __init__(self, config=None) -> None:
-        pass
-
-    def enforce(self, plane: "DataPlane", req: IORequest) -> float:
-        return 0.0
-
-
 # -- schedule ---------------------------------------------------------------
 
 
-@register_schedule_stage("fifo")
 class FifoScheduler:
-    """Default: dispatch in arrival order, honouring shaping delays.
+    """Dispatch in arrival order, honouring shaping delays.
 
     An unshaped request goes to the device synchronously and its device
     event is returned as-is — zero added events, zero added callbacks,
@@ -215,9 +150,6 @@ class FifoScheduler:
     submit.  A shaped request gets a proxy event that mirrors the device
     event once the delay elapses.
     """
-
-    def __init__(self, config=None) -> None:
-        pass
 
     def dispatch(self, plane: "DataPlane", req: IORequest, delay: float) -> "Event":
         if delay <= 0.0:
@@ -231,22 +163,18 @@ class FifoScheduler:
         _forward(plane.device_submit(req), proxy)
 
 
-@register_schedule_stage("priority")
 class PriorityScheduler:
-    """Admission control: at most ``config.max_inflight`` requests per
-    device, dispatched by priority class (then FIFO within a class).
+    """Admission control: at most ``max_inflight`` requests per device,
+    dispatched by priority class (then FIFO within a class).
 
     Queued requests wait for a completion to free a slot; a shaped
-    request joins the queue only after its shaping delay.  With
-    ``max_inflight=None`` the stage degenerates to priority-tagged FIFO
-    (nothing ever queues, since the device itself multiplexes).
+    request joins the queue only after its shaping delay.
     """
 
-    def __init__(self, config=None) -> None:
-        limit = getattr(config, "max_inflight", None)
-        if limit is not None and limit < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {limit!r}")
-        self.max_inflight = limit
+    def __init__(self, max_inflight: int) -> None:
+        if max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {max_inflight!r}")
+        self.max_inflight = max_inflight
         self._inflight: dict[str, int] = {}
         self._queues: dict[str, list] = {}
 
@@ -260,8 +188,7 @@ class PriorityScheduler:
 
     def _arrive(self, plane: "DataPlane", req: IORequest, proxy: "Event") -> None:
         dev = req.device.name
-        limit = self.max_inflight
-        if limit is None or self._inflight.get(dev, 0) < limit:
+        if self._inflight.get(dev, 0) < self.max_inflight:
             self._launch(plane, req, proxy)
             return
         # Max-heap on priority via negated rank; seq breaks ties FIFO.
@@ -271,7 +198,7 @@ class PriorityScheduler:
         )
         if OBS.enabled:
             OBS.registry.counter("dataplane.schedule.queued").inc(
-                tenant=req.tenant or "?", device=dev
+                tenant=req.tenant, device=dev
             )
 
     def _launch(self, plane: "DataPlane", req: IORequest, proxy: "Event") -> None:
@@ -279,7 +206,7 @@ class PriorityScheduler:
         self._inflight[dev] = self._inflight.get(dev, 0) + 1
         if OBS.enabled:
             OBS.registry.counter("dataplane.schedule.dispatched").inc(
-                tenant=req.tenant or "?", device=dev
+                tenant=req.tenant, device=dev
             )
         ev = plane.device_submit(req)
         ev.add_callback(lambda _ev: self._done(plane, dev))
@@ -291,7 +218,3 @@ class PriorityScheduler:
         if queue:
             _, _, req, proxy = heapq.heappop(queue)
             self._launch(plane, req, proxy)
-
-    def queued_count(self, device_name: str) -> int:
-        """Requests currently waiting for an admission slot."""
-        return len(self._queues.get(device_name, ()))

@@ -35,9 +35,6 @@ __all__ = [
     "PLACEMENTS",
     "APPS",
     "FAULT_CAMPAIGNS",
-    "CLASSIFY_STAGES",
-    "ENFORCE_STAGES",
-    "SCHEDULE_STAGES",
     "register_estimator",
     "register_policy",
     "register_controller",
@@ -45,9 +42,6 @@ __all__ = [
     "register_placement",
     "register_app",
     "register_fault_campaign",
-    "register_classify_stage",
-    "register_enforce_stage",
-    "register_schedule_stage",
 ]
 
 
@@ -164,14 +158,6 @@ APPS = Registry("app", builtins="repro.apps")
 #: campaign name scales to any scenario horizon.
 FAULT_CAMPAIGNS = Registry("fault campaign", builtins="repro.faults.campaign")
 
-#: QoS data-plane stages (see ``repro.dataplane``): each registry maps a
-#: short name to ``factory(config) -> stage``, where ``config`` is the
-#: scenario config (duck-typed, read with ``getattr`` defaults).  Stages
-#: are stateful per plane, so factories must return fresh instances.
-CLASSIFY_STAGES = Registry("classify stage", builtins="repro.dataplane.stages")
-ENFORCE_STAGES = Registry("enforce stage", builtins="repro.dataplane.stages")
-SCHEDULE_STAGES = Registry("schedule stage", builtins="repro.dataplane.stages")
-
 
 def register_estimator(name: str, obj: Any = None, **kw: Any):
     return ESTIMATORS.register(name, obj, **kw)
@@ -199,15 +185,3 @@ def register_app(name: str, obj: Any = None, **kw: Any):
 
 def register_fault_campaign(name: str, obj: Any = None, **kw: Any):
     return FAULT_CAMPAIGNS.register(name, obj, **kw)
-
-
-def register_classify_stage(name: str, obj: Any = None, **kw: Any):
-    return CLASSIFY_STAGES.register(name, obj, **kw)
-
-
-def register_enforce_stage(name: str, obj: Any = None, **kw: Any):
-    return ENFORCE_STAGES.register(name, obj, **kw)
-
-
-def register_schedule_stage(name: str, obj: Any = None, **kw: Any):
-    return SCHEDULE_STAGES.register(name, obj, **kw)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from repro.containers import Container, ContainerRuntime
 from repro.control import BaseController, ControllerConfig
 from repro.core.abplot import AugmentationBandwidthPlot
-from repro.dataplane.pipeline import DEFAULT_STAGE_STACK, DataPlane
+from repro.dataplane.pipeline import DataPlane
 from repro.core.error_control import AccuracyLadder
 from repro.core.weights import WeightFunction, calibrate_weight_function
 from repro.engine import memo
@@ -111,17 +111,16 @@ class ScenarioSession:
             self.storage = storage_factory(self.sim)
         else:
             self.storage = STORAGE_PRESETS.create(config.tiers, self.sim)
-        # Every session routes device I/O through a QoS data plane.  The
-        # default stack with no policies is a bit-identical re-expression
-        # of the legacy direct-submit path (pinned by the recorded engine
+        # Every session routes device I/O through a QoS data plane.  A
+        # FIFO plane with no policies is a bit-identical re-expression of
+        # the legacy direct-submit path (pinned by the recorded engine
         # fingerprints), so this costs nothing on the happy path; configs
-        # opt into QoS by declaring ``qos_policies`` / ``stage_stack``
+        # opt into QoS by declaring ``qos_policies`` / ``max_inflight``
         # (read with getattr — campaign configs may predate the fields).
         self.dataplane = DataPlane(
             self.sim,
             policies=dict(getattr(config, "qos_policies", ()) or ()),
-            stack=tuple(getattr(config, "stage_stack", DEFAULT_STAGE_STACK)),
-            config=config,
+            max_inflight=getattr(config, "max_inflight", None),
         )
         for tier in self.storage.tiers:
             self.dataplane.attach(tier.device)

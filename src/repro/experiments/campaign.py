@@ -52,10 +52,9 @@ class CampaignConfig:
     #: Fault campaign name from the FAULT_CAMPAIGNS registry, or None.
     faults: str | None = None
     estimation_interval: int = DEFAULTS.estimation_interval
-    #: QoS data-plane stage stack / per-tenant policies / admission limit
-    #: (same semantics as the ScenarioConfig fields — campaigns are a
-    #: config axis for the data plane too).
-    stage_stack: tuple[str, str, str] = ("cgroup", "blkio", "fifo")
+    #: QoS data-plane per-tenant policies / admission limit (same
+    #: semantics as the ScenarioConfig fields — campaigns are a config
+    #: axis for the data plane too).
     qos_policies: tuple = ()
     max_inflight: int | None = None
     #: Adaptation controller / tuning overrides (same semantics as the
@@ -163,7 +162,6 @@ def _scenario_config(cfg: CampaignConfig) -> ScenarioConfig:
         priority=cfg.priority,
         estimation_interval=cfg.estimation_interval,
         faults=cfg.faults,
-        stage_stack=cfg.stage_stack,
         qos_policies=cfg.qos_policies,
         max_inflight=cfg.max_inflight,
         controller=cfg.controller,

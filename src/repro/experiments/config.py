@@ -88,17 +88,13 @@ class ScenarioConfig:
     #: Retry/backoff policy for the analytics reader; None means the
     #: legacy one-retry-then-skip default.
     retry: RetryPolicy | None = None
-    #: QoS data-plane stage stack: (classify, enforce, schedule) names
-    #: from the CLASSIFY/ENFORCE/SCHEDULE_STAGES registries.  The default
-    #: re-expresses the legacy weight/throttle mechanism bit-identically.
-    stage_stack: tuple[str, str, str] = ("cgroup", "blkio", "fifo")
     #: Declarative per-tenant QoS policies as (tenant, QosPolicy) pairs —
     #: a tuple (not a dict) so configs stay hashable and sweepable.
-    #: Tenant names are whatever the classify stage produces (container
-    #: names for the default "cgroup" classifier).
+    #: Tenant names are cgroup (container) names.
     qos_policies: tuple = ()
-    #: Admission limit for the "priority" schedule stage (requests in
-    #: flight per device); None = unlimited.
+    #: Data-plane scheduler: None dispatches in arrival order (the legacy
+    #: mechanism, bit-identical); an integer turns on priority admission
+    #: control with that many requests in flight per device.
     max_inflight: int | None = None
     #: Controller graceful degradation: when True (default), bad feed
     #: samples walk the fallback ladder instead of raising.
@@ -193,19 +189,7 @@ def _validate_controller_fields(config) -> None:
 
 
 def _validate_dataplane_fields(config) -> None:
-    """Shared stage-stack/policy validation (ScenarioConfig + CampaignConfig)."""
-    from repro.engine.registry import CLASSIFY_STAGES, ENFORCE_STAGES, SCHEDULE_STAGES
-
-    stack = config.stage_stack
-    if len(stack) != 3:
-        raise ValueError(
-            f"stage_stack must be (classify, enforce, schedule), got {stack!r}"
-        )
-    for name, registry in zip(stack, (CLASSIFY_STAGES, ENFORCE_STAGES, SCHEDULE_STAGES)):
-        if name not in registry:
-            raise ValueError(
-                f"unknown {registry.kind} {name!r}; expected one of {registry.names()}"
-            )
+    """Shared policy/admission validation (ScenarioConfig + CampaignConfig)."""
     # Imported lazily — the dataplane package pulls in storage modules
     # that are heavyweight relative to a config-only import.
     from repro.dataplane.policy import QosPolicy

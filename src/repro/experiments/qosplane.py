@@ -5,14 +5,13 @@ best-effort ``batch`` — share a node with the Table IV checkpointing
 noise, and the run is scored against per-tenant SLO targets.  The same
 workload executes twice:
 
-* **baseline** — the default stage stack with *observation-only*
-  policies (just SLO targets, no enforcement): the legacy mechanism,
-  plus scoring.  This is what a noisy neighbor does to an unprotected
-  tenant.
-* **qos** — a declarative policy set on the ``("cgroup", "blkio",
-  "priority")`` stack: the loudest checkpointers are token-bucket
-  rate-shaped, tenants carry priority classes, and the priority
-  schedule stage admission-controls the capacity device.
+* **baseline** — FIFO dispatch with *observation-only* policies (just
+  SLO targets, no enforcement): the legacy mechanism, plus scoring.
+  This is what a noisy neighbor does to an unprotected tenant.
+* **qos** — a declarative policy set with ``max_inflight=3``: the
+  loudest checkpointer is token-bucket rate-shaped, tenants carry
+  priority classes, and priority admission control holds each device
+  to three requests in flight.
 
 The result carries per-tenant step timings, the SLO board's
 per-request violation counts, and per-stage data-plane decision
@@ -39,15 +38,15 @@ __all__ = ["QosPlaneRow", "QosPlaneResult", "run_qosplane", "format_rows"]
 PROD_SLO = SloTarget("p99_latency", 5.0)
 BATCH_SLO = SloTarget("bandwidth_floor", mb_per_s(2))
 
-#: Observation-only policies: classify + score, enforce nothing.
+#: Observation-only policies: score, enforce nothing.
 BASELINE_POLICIES: tuple = (
     ("prod", QosPolicy(slo=PROD_SLO)),
     ("batch", QosPolicy(slo=BATCH_SLO)),
 )
 
 #: The declarative QoS contract: priority classes on the tenants,
-#: admission control on the shared device via the "priority" schedule
-#: stage, and burst-credit token-bucket shaping on the loudest
+#: admission control on the shared device (the run's ``max_inflight``),
+#: and burst-credit token-bucket shaping on the loudest
 #: checkpointer (noise-6 writes 1 GiB every 120 s; shaping admits a
 #: 512 MiB burst then paces at 15 MB/s, so its checkpoints stop
 #: monopolising admission slots exactly when the analytics read).
@@ -132,7 +131,6 @@ def _counter_delta(before: dict, after: dict) -> dict[str, dict[str, float]]:
 def _run_one(
     scenario: str,
     policies: tuple,
-    stack: tuple[str, str, str],
     max_inflight: int | None,
     *,
     max_steps: int,
@@ -143,7 +141,6 @@ def _run_one(
         max_steps=max_steps,
         seed=seed,
         qos_policies=policies,
-        stage_stack=stack,
         max_inflight=max_inflight,
     )
     # Per-stage decision counters are part of this figure's output, so
@@ -187,7 +184,6 @@ def run_qosplane(*, max_steps: int = 20, seed: int = 0) -> QosPlaneResult:
     _run_one(
         "baseline",
         BASELINE_POLICIES,
-        ("cgroup", "blkio", "fifo"),
         None,
         max_steps=max_steps,
         seed=seed,
@@ -196,7 +192,6 @@ def run_qosplane(*, max_steps: int = 20, seed: int = 0) -> QosPlaneResult:
     _run_one(
         "qos",
         QOS_POLICIES,
-        ("cgroup", "blkio", "priority"),
         3,
         max_steps=max_steps,
         seed=seed,

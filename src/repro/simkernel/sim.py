@@ -4,12 +4,12 @@ A ``heapq`` future-event list of ``(time, seq, entry)`` tuples is
 drained **one epoch at a time**: every live entry sharing the minimum
 timestamp is popped into a flat ready batch and dispatched in one pass.
 ``seq`` is unique, so the heap's comparisons run as C tuple compares
-and never call back into Python.  Same-timestamp traffic — coalesced
-blkio reschedule flushes, process resumes, sampler ticks, retry timers —
-never touches the heap at all: a callback scheduling at the current
-instant appends straight to the draining batch.  Live entries execute in
-exactly ``(time, seq)`` order, so same-seed runs are bit-identical
-(pinned by the recorded fingerprints in ``tests/test_engine.py``).
+and never call back into Python.  Same-timestamp traffic — process
+resumes, sampler ticks, retry timers — never touches the heap at all:
+a callback scheduling at the current instant appends straight to the
+draining batch.  Live entries execute in exactly ``(time, seq)`` order,
+so same-seed runs are bit-identical (pinned by the recorded
+fingerprints in ``tests/test_engine.py``).
 
 Within an epoch, consecutive entries bound to the same batchable handler
 on the same receiver are delivered in one call (see
@@ -152,7 +152,7 @@ class Simulation:
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
         # schedule_at's body, inlined: this is the hottest kernel entry
-        # point (every process resume and device flush lands here).
+        # point (every process resume and device timer lands here).
         time = self.now + delay
         seq = self._seq
         entry = ScheduledCallback(time, seq, callback, args, self)

@@ -89,10 +89,7 @@ class BlkioCgroup:
         self._active_devices.discard(device)
 
     def _notify_devices(self) -> None:
-        # Coalesced: each device marks itself dirty and recomputes once in
-        # a same-timestamp flush, so a burst of weight/throttle writes in
-        # one control step costs one solve per device (and the set's
-        # iteration order stops mattering).
+        # Each device this cgroup has streams on re-rates in place.
         for dev in list(self._active_devices):
             dev.notify_demand_change()
 

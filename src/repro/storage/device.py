@@ -25,16 +25,12 @@ execution" in ``docs/architecture.md``):
   dict keyed on the array bytes), so a reschedule whose inputs did not
   change — or match any recently solved demand, e.g. membership
   oscillating while a stream restarts — skips the solver entirely;
-* cgroup weight/throttle changes do not recompute inline: they mark the
-  device dirty and a single same-timestamp flush (scheduled at delay 0,
-  deduplicated per device) recomputes once, so a controller adjusting
-  several buckets' weights in one control step triggers one solve, not
-  k.  Weight/cap reads off the cgroups are likewise deferred: the flat
-  input arrays are rebuilt at the next solve only when a cgroup actually
-  changed.  Progress accrual is unaffected — no simulated time passes
-  between the change and its flush — and same-timestamp readers
-  (:meth:`instantaneous_rate`, :meth:`rates_by_direction`) flush the
-  pending recompute before reporting, so rates are never observed stale;
+* a cgroup weight/throttle change re-rates the device in place: it
+  marks the weight/cap rows stale and reschedules at once, so every
+  reader sees the new rates.  The rows are re-read off the cgroups only
+  after such a change, and a write that leaves the demand signature
+  unchanged (a weight written back to its current value) skips the
+  solver;
 * the event loop's grouped dispatch delivers a whole epoch of stream
   starts in one call (:meth:`_start_streams_batch`, registered via
   :func:`~repro.simkernel.batch_dispatch`): k same-instant submissions
@@ -304,10 +300,6 @@ class BlockDevice:
         self._solved_rates = []
         #: Bounded demand-signature -> rates memo (see module docstring).
         self._solve_memo: dict = {}
-        #: Coalesced-reschedule state: cgroup changes mark the device
-        #: dirty; one delay-0 flush per device recomputes once.
-        self._dirty = False
-        self._flush_handle = None
         self._obs_cache: tuple | None = None
         #: QoS data plane this device routes submissions through (set by
         #: :meth:`repro.dataplane.pipeline.DataPlane.attach`; None =
@@ -418,10 +410,10 @@ class BlockDevice:
         (see :meth:`inject_failures`).
 
         When a :class:`~repro.dataplane.pipeline.DataPlane` is attached,
-        the request routes through its classify → enforce → schedule
-        stages instead of reaching the medium directly; the default
-        stage stack hands unshaped requests straight back to
-        :meth:`_submit_direct`, preserving the legacy event sequence.
+        the request routes through its enforce and schedule stages
+        instead of reaching the medium directly; the FIFO scheduler hands
+        unshaped requests straight back to :meth:`_submit_direct`,
+        preserving the legacy event sequence.
         """
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
@@ -444,8 +436,8 @@ class BlockDevice:
     ) -> Event:
         """Inject a validated request into the device, bypassing any plane.
 
-        ``submitted`` is the original submission timestamp: a schedule
-        stage that delayed the request passes the time the caller
+        ``submitted`` is the original submission timestamp: a data-plane
+        scheduler that delayed the request passes the time the caller
         submitted it, so queueing/shaping delay counts into the
         completion's :attr:`IOStats.elapsed` (and thus into SLO latency).
         """
@@ -736,41 +728,26 @@ class BlockDevice:
         self._arr_pbase[:k] = self._arr_pbase[:n][keep]
         self._arr_floor[:k] = self._arr_floor[:n][keep]
 
-    # -- coalesced cgroup-change handling ----------------------------------
+    # -- cgroup-change handling -------------------------------------------
 
     def notify_demand_change(self) -> None:
-        """A cgroup's weight or throttle changed: coalesce the recompute.
+        """A cgroup's weight or throttle changed: re-rate the device now.
 
-        Marks the device dirty and schedules one same-timestamp flush
-        (deduplicated per device), so k weight writes in one control step
-        cost one solve.  No simulated time passes before the flush, so
-        progress accrual is unaffected; same-timestamp readers flush
-        explicitly (see :meth:`instantaneous_rate`).
+        The weight/cap rows are re-read at the next solve; with streams
+        in flight that solve happens here, so the new rates hold from
+        this instant and every reader sees them.
         """
         self._demand_epoch += 1
         self._inputs_stale = True
-        if not self._streams:
-            return
-        self._dirty = True
-        if self._flush_handle is None:
-            self._flush_handle = self.sim.schedule(0.0, self._flush)
-
-    def _flush(self) -> None:
-        self._flush_handle = None
-        if self._dirty:
+        if self._streams:
             self.reschedule()
 
     def reschedule(self) -> None:
         """Accrue progress, recompute rates, schedule the next completion.
 
-        Called on stream start/finish, on device health changes, and by
-        the coalescing flush after cgroup weight/throttle changes.
+        Called on stream start/finish, on device health changes, and on
+        cgroup weight/throttle changes.
         """
-        self._dirty = False
-        handle = self._flush_handle
-        if handle is not None:
-            handle.cancel()
-            self._flush_handle = None
         self._sync_progress()
         self._complete_finished()
         handle = self._completion_handle
@@ -993,8 +970,6 @@ class BlockDevice:
 
     def instantaneous_rate(self, cgroup: "BlkioCgroup") -> float:
         """Current aggregate service rate of a cgroup's streams (bytes/s)."""
-        if self._dirty:
-            self.reschedule()
         streams = self._streams
         if not streams:
             return 0.0
@@ -1005,14 +980,7 @@ class BlockDevice:
         return total
 
     def rates_by_direction(self) -> tuple[float, float]:
-        """Aggregate instantaneous (read, write) service rates (bytes/s).
-
-        Flushes any pending coalesced recompute first, so a sampler firing
-        at the same timestamp as a weight change observes the post-change
-        rates — exactly what the immediate-reschedule path reported.
-        """
-        if self._dirty:
-            self.reschedule()
+        """Aggregate instantaneous (read, write) service rates (bytes/s)."""
         n = len(self._streams)
         if n == 0:
             return 0.0, 0.0

@@ -82,8 +82,8 @@ class DeviceSampler:
         return self._running
 
     def _tick(self) -> None:
-        # rates_by_direction flushes any pending coalesced reschedule, so
-        # a tick landing on a weight change's timestamp sees fresh rates.
+        # A weight change re-rates the device at once, so a tick that
+        # runs after it at the same timestamp sees the post-change rates.
         read_rate, write_rate = self.device.rates_by_direction()
         sample = DeviceSample(
             time=self.sim.now,

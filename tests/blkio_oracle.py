@@ -77,16 +77,10 @@ def compute_rates_reference(demands: list[StreamDemand]) -> dict[int, float]:
 class ReferenceBlockDevice(BlockDevice):
     """A :class:`BlockDevice` with the pre-optimisation cost model.
 
-    Every cgroup weight/throttle change reschedules inline (no coalesced
-    flush), and every reschedule rebuilds validated :class:`StreamDemand`
-    rows off the stream objects and runs the dict solver (no epoch skip,
+    Every reschedule rebuilds validated :class:`StreamDemand` rows off
+    the stream objects and runs the dict solver (no epoch skip,
     signature check or memo: ``_solved_epoch`` never advances).
     """
-
-    def notify_demand_change(self) -> None:
-        self._demand_epoch += 1
-        if self._streams:
-            self.reschedule()
 
     def _solve_fast(self) -> list[float]:
         streams = self._streams

@@ -108,11 +108,14 @@ def _removed_spellings():
     has passed, or a retired option), as (call, exception it now raises)."""
     import importlib
 
+    import repro.api
     import repro.core
+    import repro.dataplane
+    import repro.engine.registry
     import repro.experiments.runner as runner
     import repro.storage
     import repro.workloads
-    from repro.api import TokenBucket
+    from repro.api import DataPlane, TokenBucket
     from repro.cli import main as cli_main
     from repro.control import TangoController
     from repro.core import recompose
@@ -193,6 +196,39 @@ def _removed_spellings():
                 "synthesize_trace",
                 "trace_from_csv",
                 "trace_to_csv",
+            )
+        },
+        "dataplane_default_stage_stack": (
+            lambda: repro.dataplane.DEFAULT_STAGE_STACK, AttributeError
+        ),
+        "scenario_config_stage_stack_keyword": (
+            lambda: ScenarioConfig(stage_stack=("cgroup", "blkio", "fifo")), TypeError
+        ),
+        "scenario_config_stage_stack_attribute": (
+            lambda: ScenarioConfig().stage_stack, AttributeError
+        ),
+        "campaign_config_stage_stack_keyword": (
+            lambda: CampaignConfig(stage_stack=("cgroup", "blkio", "fifo")), TypeError
+        ),
+        "dataplane_stack_keyword": (
+            lambda: DataPlane(Simulation(), stack=("cgroup", "blkio", "fifo")), TypeError
+        ),
+        "dataplane_config_keyword": (
+            lambda: DataPlane(Simulation(), config=ScenarioConfig()), TypeError
+        ),
+        "dataplane_set_policy": (lambda: DataPlane.set_policy, AttributeError),
+        **{
+            f"{where}_{name}": (
+                lambda module=module, name=name: getattr(module, name), AttributeError
+            )
+            for where, module in (("api", repro.api), ("registry", repro.engine.registry))
+            for name in (
+                "CLASSIFY_STAGES",
+                "ENFORCE_STAGES",
+                "SCHEDULE_STAGES",
+                "register_classify_stage",
+                "register_enforce_stage",
+                "register_schedule_stage",
             )
         },
         **{

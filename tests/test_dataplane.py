@@ -1,34 +1,27 @@
 """Tests for the programmable QoS data plane (repro.dataplane).
 
 Covers the policy objects (validation, the anchor-based token bucket and
-its conservation/drift properties), the stage registries, the scenario
-config axes, and end-to-end behaviour on small simulations: zero-overhead
-default path, one-shot weight enforcement, token-bucket shaping, priority
-admission control, SLO scoring, and composition with fault campaigns.
+its conservation/drift properties), the scenario config axes, and
+end-to-end behaviour on small simulations: zero-overhead FIFO path,
+one-shot weight enforcement, token-bucket shaping, priority admission
+control (``max_inflight``), SLO scoring, composition with fault
+campaigns, and a drained plane leaving no reference cycles behind.
 """
 
+import gc
 import pickle
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.dataplane import (
-    DEFAULT_STAGE_STACK,
-    DataPlane,
-    QosPolicy,
-    SloTarget,
-    TokenBucket,
-)
-from repro.engine.registry import (
-    CLASSIFY_STAGES,
-    ENFORCE_STAGES,
-    SCHEDULE_STAGES,
-)
+from repro.dataplane import DataPlane, QosPolicy, SloTarget, TokenBucket
 from repro.engine.session import ScenarioSession
 from repro.engine.sweep import SweepExecutor
 from repro.experiments.config import ScenarioConfig
 from repro.simkernel import Simulation, tick_time
+from repro.storage.cgroup import CgroupController
+from repro.storage.device import BlockDevice
 from repro.util.units import mb_per_s, mb_to_bytes
 
 
@@ -336,29 +329,10 @@ class TestPolicyValidation:
             SloTarget("p99_latency", 0.0)
 
 
-# -- registries and config axes ---------------------------------------------
+# -- config axes ------------------------------------------------------------
 
 
 class TestRegistriesAndConfig:
-    def test_builtin_stages_registered(self):
-        assert {"cgroup", "cgroup-direction"} <= set(CLASSIFY_STAGES.names())
-        assert {"blkio", "none"} <= set(ENFORCE_STAGES.names())
-        assert {"fifo", "priority"} <= set(SCHEDULE_STAGES.names())
-
-    def test_default_stack_names_builtins(self):
-        classify, enforce, schedule = DEFAULT_STAGE_STACK
-        assert classify in CLASSIFY_STAGES
-        assert enforce in ENFORCE_STAGES
-        assert schedule in SCHEDULE_STAGES
-
-    def test_config_rejects_wrong_stack_shape(self):
-        with pytest.raises(ValueError, match="stage_stack"):
-            ScenarioConfig(stage_stack=("cgroup", "blkio"))
-
-    def test_config_rejects_unknown_stage(self):
-        with pytest.raises(ValueError, match="unknown"):
-            ScenarioConfig(stage_stack=("cgroup", "blkio", "lifo"))
-
     def test_config_rejects_bad_policy_pairs(self):
         with pytest.raises(ValueError, match="qos_policies"):
             ScenarioConfig(qos_policies=(("prod",),))
@@ -381,7 +355,6 @@ class TestRegistriesAndConfig:
                 ("prod", QosPolicy(priority="high", slo=SloTarget("p99_latency", 5.0))),
                 ("batch", QosPolicy(rate_bps=mb_per_s(10))),
             ),
-            stage_stack=("cgroup", "blkio", "priority"),
             max_inflight=4,
         )
         clone = pickle.loads(pickle.dumps(cfg))
@@ -392,16 +365,14 @@ class TestRegistriesAndConfig:
 # -- end-to-end on a bare device --------------------------------------------
 
 
-def make_plane(sim, device, policies=None, stack=DEFAULT_STAGE_STACK, config=None):
-    plane = DataPlane(sim, policies=policies, stack=stack, config=config)
+def make_plane(sim, device, policies=None, max_inflight=None):
+    plane = DataPlane(sim, policies=policies, max_inflight=max_inflight)
     plane.attach(device)
     return plane
 
 
 class TestDefaultPathIdentity:
     def test_no_policy_submit_matches_bare_device(self, simple_spec, cgroups):
-        from repro.storage.device import BlockDevice
-
         bare_sim = Simulation()
         bare = run_jobs(
             bare_sim,
@@ -431,6 +402,26 @@ class TestDefaultPathIdentity:
         make_plane(sim, device)
         with pytest.raises(RuntimeError, match="already attached"):
             DataPlane(sim).attach(device)
+
+
+def test_drained_device_and_plane_leave_no_cyclic_garbage(simple_spec):
+    """A drained device and its default plane are freed by reference
+    counting alone: the device points at its plane, and nothing in the
+    plane points back, so the cyclic collector finds nothing."""
+
+    def drain():
+        sim = Simulation()
+        device = BlockDevice(sim, simple_spec)
+        make_plane(sim, device)
+        run_jobs(sim, device, [(CgroupController().create("a"), 10, "read")])
+
+    gc.collect()
+    gc.disable()
+    try:
+        drain()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestEnforcement:
@@ -506,9 +497,6 @@ class TestEnforcement:
 
 class TestPriorityScheduling:
     def test_high_priority_jumps_the_queue(self, sim, device, cgroups):
-        class Cfg:
-            max_inflight = 1
-
         lo, mid, hi = (cgroups.create(n) for n in ("lo", "mid", "hi"))
         make_plane(
             sim,
@@ -517,8 +505,7 @@ class TestPriorityScheduling:
                 "lo": QosPolicy(priority="low"),
                 "hi": QosPolicy(priority="high"),
             },
-            stack=("cgroup", "blkio", "priority"),
-            config=Cfg(),
+            max_inflight=1,
         )
         res = run_jobs(
             sim,
@@ -534,20 +521,16 @@ class TestPriorityScheduling:
 
     def test_no_limit_degenerates_to_fifo(self, sim, device, cgroups):
         a, b = cgroups.create("a"), cgroups.create("b")
-        make_plane(
-            sim, device, stack=("cgroup", "blkio", "priority"), config=None
-        )
+        make_plane(sim, device)
         res = run_jobs(sim, device, [(a, 100, "read"), (b, 100, "read")])
-        # Both share the device immediately, exactly like FIFO.
+        # No max_inflight means FIFO dispatch: both share the device
+        # immediately.
         assert res[0].elapsed == pytest.approx(1.0)
         assert res[1].elapsed == pytest.approx(1.0)
 
     def test_bad_max_inflight_rejected(self, sim):
-        class Cfg:
-            max_inflight = 0
-
         with pytest.raises(ValueError, match="max_inflight must be >= 1"):
-            DataPlane(sim, stack=("cgroup", "blkio", "priority"), config=Cfg())
+            DataPlane(sim, max_inflight=0)
 
 
 class TestSloScoring:
@@ -625,7 +608,6 @@ class TestSessionComposition:
                 max_steps=3,
                 faults="error-bursts",
                 qos_policies=QOS_AXIS,
-                stage_stack=("cgroup", "blkio", "priority"),
                 max_inflight=4,
                 seed=1,
             )

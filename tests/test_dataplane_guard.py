@@ -1,9 +1,9 @@
 """Zero-overhead guard: the data plane must not change the default path.
 
-Every session now routes device submissions through a
-``("cgroup", "blkio", "fifo")`` :class:`~repro.dataplane.DataPlane`, so
-these guards pin the claim that with *no policy configured* the plane
-is invisible: bit-identical results, event counts, and byte accounting.
+Every session now routes device submissions through a FIFO
+:class:`~repro.dataplane.DataPlane`, so these guards pin the claim that
+with *no policy configured* the plane is invisible: bit-identical
+results, event counts, and byte accounting.
 
 Two oracles, chosen for coverage of both regimes:
 
@@ -57,12 +57,16 @@ FIG07_SEED_HASH = "95a1ac632f4d86427362c2e64cc0828da41a8b7ae66840c9f63d68de8f451
 # Result digests and event counts of the device shapes, recorded on
 # commit 0a31dd9.  The fast device and ReferenceBlockDevice complete
 # every request at the same instant, so each shape has one digest for
-# both; only the reference device's stress16 event count differs.
+# both.  Event counts were re-pinned when a cgroup weight write began
+# re-rating the device in place: each 8-write churn burst used to cost
+# one delay-0 flush event on the fast device (120 bursts in 30 s, 160 in
+# 40 s), so stress16 went from 522 to 402 events, the count the
+# reference device already had, and stress64 from 515 to 355.  No
+# digest moved.
 STRESS16_DIGEST = "e6af19c578b5d00bb35a34bc1bdbaed2d94dc3c5417fe6196251cb46eae2e783"
-STRESS16_FAST_EVENTS = 522
-STRESS16_REFERENCE_EVENTS = 402
+STRESS16_EVENTS = 402
 STRESS64_DIGEST = "e3bce6828ad3f86a049733cfdde8583b01f48c8eaeebc26b451c8e57256f1d4c"
-STRESS64_EVENTS = 515
+STRESS64_EVENTS = 355
 SOAK256_DIGEST = "0db498daed022e857f45fd9844f2a770f7bfa7beda60d3619b6dff57ead54511"
 SOAK256_EVENTS = 9_591
 
@@ -170,25 +174,25 @@ def _run_soak(
 def test_stress16_fast_path_fingerprint():
     digest, events = _run_stress()
     assert digest == STRESS16_DIGEST
-    assert events == STRESS16_FAST_EVENTS
+    assert events == STRESS16_EVENTS
 
 
 def test_stress16_reference_fingerprint():
     digest, events = _run_stress(ReferenceBlockDevice)
     assert digest == STRESS16_DIGEST
-    assert events == STRESS16_REFERENCE_EVENTS
+    assert events == STRESS16_EVENTS
 
 
 def test_stress16_with_default_plane_is_bit_identical():
     """The strong form of zero overhead: attach a policy-free default
     plane to the stressed device and get the exact same results and
     event count."""
-    assert _run_stress(with_plane=True) == (STRESS16_DIGEST, STRESS16_FAST_EVENTS)
+    assert _run_stress(with_plane=True) == (STRESS16_DIGEST, STRESS16_EVENTS)
 
 
 def test_stress16_reference_with_plane_is_bit_identical():
     run = _run_stress(ReferenceBlockDevice, with_plane=True)
-    assert run == (STRESS16_DIGEST, STRESS16_REFERENCE_EVENTS)
+    assert run == (STRESS16_DIGEST, STRESS16_EVENTS)
 
 
 def test_stress16_scalar_dispatch_is_bit_identical():
@@ -196,13 +200,13 @@ def test_stress16_scalar_dispatch_is_bit_identical():
     scalar oracle must reproduce them exactly."""
     assert _run_stress(sim_cls=ScalarSimulation) == (
         STRESS16_DIGEST,
-        STRESS16_FAST_EVENTS,
+        STRESS16_EVENTS,
     )
 
 
 def test_stress16_reference_scalar_dispatch_is_bit_identical():
     run = _run_stress(ReferenceBlockDevice, sim_cls=ScalarSimulation)
-    assert run == (STRESS16_DIGEST, STRESS16_REFERENCE_EVENTS)
+    assert run == (STRESS16_DIGEST, STRESS16_EVENTS)
 
 
 def test_stress64_fingerprint():
