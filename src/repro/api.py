@@ -50,14 +50,12 @@ from repro.engine.registry import (
     FAULT_CAMPAIGNS,
     PLACEMENTS,
     POLICIES,
-    STORAGE_PRESETS,
     register_app,
     register_controller,
     register_estimator,
     register_fault_campaign,
     register_placement,
     register_policy,
-    register_storage_preset,
 )
 from repro.engine.session import ScenarioSession, make_weight_function
 from repro.engine.sweep import ScenarioSummary, SweepExecutor
@@ -135,7 +133,6 @@ __all__ = [
     "FAULT_CAMPAIGNS",
     "PLACEMENTS",
     "POLICIES",
-    "STORAGE_PRESETS",
     "ScenarioSession",
     "ScenarioSummary",
     "SweepExecutor",
@@ -145,7 +142,6 @@ __all__ = [
     "register_fault_campaign",
     "register_placement",
     "register_policy",
-    "register_storage_preset",
     # cluster scale
     "ARBITRATION",
     "ClusterConfig",

@@ -347,10 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--seed", type=int, default=0)
     cl.add_argument(
         "--workers",
-        default="auto",
+        default="1",
         metavar="N",
-        help="shard worker processes ('auto' = all CPUs, capped by shards "
-        "and REPRO_WORKERS)",
+        help="shard worker processes, capped by shards and REPRO_WORKERS "
+        "('auto' = all CPUs); the default 1 runs every shard in-process, "
+        "since at this command's default shape worker start-up costs more "
+        "than the shards' work",
     )
     cl.add_argument("--json", action="store_true", help="print a JSON summary")
 

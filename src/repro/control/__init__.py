@@ -13,8 +13,10 @@ in the :data:`repro.engine.registry.CONTROLLERS` registry:
 
 Controllers are constructed with a keyword-only
 :class:`~repro.control.config.ControllerConfig`; scenario configs select
-one with ``ScenarioConfig(controller="pid")`` and tune it through
-``controller_params``.  Downstream code plugs in its own with
+one with ``ScenarioConfig(controller="pid")``, and the session builds it
+with the config's bound, priority and estimation interval and every
+other field at its default (code that constructs a controller directly
+tunes the rest).  Downstream code plugs in its own with
 ``@register_controller`` on a :class:`BaseController` subclass.
 """
 

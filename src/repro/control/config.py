@@ -17,11 +17,11 @@ one config sweeps cleanly across ``controller=`` values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from repro.util.validation import check_positive
 
-__all__ = ["ControllerConfig", "CONTROLLER_PARAM_NAMES"]
+__all__ = ["ControllerConfig"]
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -96,8 +96,3 @@ class ControllerConfig:
         check_positive("pid_integral_limit", self.pid_integral_limit)
         if self.mpc_horizon < 1:
             raise ValueError(f"mpc_horizon must be >= 1, got {self.mpc_horizon}")
-
-
-#: Valid ``ScenarioConfig.controller_params`` keys (config-level sweeps
-#: name ControllerConfig fields directly).
-CONTROLLER_PARAM_NAMES = frozenset(f.name for f in fields(ControllerConfig))

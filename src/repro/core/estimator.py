@@ -227,13 +227,13 @@ class LastValueEstimator(BandwidthEstimator):
 
 # -- registry entries ---------------------------------------------------
 #
-# Factories take the scenario config (duck-typed: only the estimator's
-# own tuning attributes are read) and return a fresh, unfitted instance —
-# estimators are stateful, so instances are never shared.
+# Factories take the scenario config (the built-ins read nothing from it;
+# the DFT threshold is the paper's 50 %) and return a fresh, unfitted
+# instance — estimators are stateful, so instances are never shared.
 
 @register_estimator("dft")
 def _make_dft(config) -> DFTEstimator:
-    return DFTEstimator(getattr(config, "dft_thresh", 0.5))
+    return DFTEstimator()
 
 
 @register_estimator("mean")

@@ -4,8 +4,8 @@
 (simkernel/storage/containers/core) and the experiments:
 
 * :mod:`repro.engine.registry` — string-keyed component registries with
-  a ``@register_*`` decorator API (estimators, policies, storage
-  presets, placements, apps);
+  a ``@register_*`` decorator API (estimators, policies, controllers,
+  placements, apps, fault campaigns);
 * :mod:`repro.engine.session` — :class:`ScenarioSession`, the builder
   that composes one simulated node from a config and owns the run loop;
 * :mod:`repro.engine.sweep` — :class:`SweepExecutor`, process-pool
@@ -24,27 +24,23 @@ from repro.engine.registry import (
     FAULT_CAMPAIGNS,
     PLACEMENTS,
     POLICIES,
-    STORAGE_PRESETS,
     Registry,
     register_app,
     register_estimator,
     register_fault_campaign,
     register_placement,
     register_policy,
-    register_storage_preset,
 )
 
 __all__ = [
     "Registry",
     "ESTIMATORS",
     "POLICIES",
-    "STORAGE_PRESETS",
     "PLACEMENTS",
     "APPS",
     "FAULT_CAMPAIGNS",
     "register_estimator",
     "register_policy",
-    "register_storage_preset",
     "register_placement",
     "register_app",
     "register_fault_campaign",

@@ -1,10 +1,9 @@
 """String-keyed component registries (the engine's plugin plane).
 
 Every place the codebase used to dispatch on a literal string —
-``_make_estimator``'s if/elif, the ``tiers`` branch in ``run_scenario``,
-``make_policy``'s table, ``stage_dataset``'s placement check,
-``make_app``'s table — now looks the component up in one of the
-registries below.  New components plug in with a decorator and become
+``_make_estimator``'s if/elif, ``make_policy``'s table,
+``stage_dataset``'s placement check, ``make_app``'s table — now looks
+the component up in one of the registries below.  New components plug in with a decorator and become
 available everywhere (config validation, CLI choices, sessions, sweeps)
 without touching the engine:
 
@@ -31,14 +30,12 @@ __all__ = [
     "ESTIMATORS",
     "POLICIES",
     "CONTROLLERS",
-    "STORAGE_PRESETS",
     "PLACEMENTS",
     "APPS",
     "FAULT_CAMPAIGNS",
     "register_estimator",
     "register_policy",
     "register_controller",
-    "register_storage_preset",
     "register_placement",
     "register_app",
     "register_fault_campaign",
@@ -128,9 +125,8 @@ class Registry:
         return f"<Registry {self.kind}: {list(self._entries)}>"
 
 
-#: Bandwidth estimators: ``factory(config) -> BandwidthEstimator``.
-#: ``config`` is duck-typed (anything with the estimator's tuning
-#: attributes, e.g. ``ScenarioConfig.dft_thresh``); estimators are
+#: Bandwidth estimators: ``factory(config) -> BandwidthEstimator``, where
+#: ``config`` is the scenario's ``ScenarioConfig``; estimators are
 #: stateful, so the factory must return a fresh instance per call.
 ESTIMATORS = Registry("estimator", builtins="repro.core.estimator")
 
@@ -142,9 +138,6 @@ POLICIES = Registry("policy", builtins="repro.core.controller")
 #: Instantiated uniformly as ``cls(ladder, policy, abplot,
 #: config=ControllerConfig(...), estimator=..., degradation=...)``.
 CONTROLLERS = Registry("controller", builtins="repro.control")
-
-#: Storage hierarchies: ``factory(sim) -> TieredStorage``.
-STORAGE_PRESETS = Registry("storage preset", builtins="repro.storage.tier")
 
 #: Staging placement strategies:
 #: ``factory(ladder, storage, scale) -> (base_tier, bucket_tiers)``.
@@ -169,10 +162,6 @@ def register_policy(name: str, obj: Any = None, **kw: Any):
 
 def register_controller(name: str, obj: Any = None, **kw: Any):
     return CONTROLLERS.register(name, obj, **kw)
-
-
-def register_storage_preset(name: str, obj: Any = None, **kw: Any):
-    return STORAGE_PRESETS.register(name, obj, **kw)
 
 
 def register_placement(name: str, obj: Any = None, **kw: Any):

@@ -16,14 +16,14 @@ legacy event sequencing and stay bit-identical per seed):
     session.run()
 
 Components are resolved through the :mod:`repro.engine.registry`
-registries, so a config naming a registered estimator, policy, storage
-preset, placement, or app just works — including ones registered by
+registries, so a config naming a registered estimator, policy,
+controller, placement, or app just works — including ones registered by
 downstream code the engine has never heard of.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.containers import Container, ContainerRuntime
 from repro.control import BaseController, ControllerConfig
@@ -32,14 +32,7 @@ from repro.dataplane.pipeline import DataPlane
 from repro.core.error_control import AccuracyLadder
 from repro.core.weights import WeightFunction, calibrate_weight_function
 from repro.engine import memo
-from repro.engine.registry import (
-    APPS,
-    CONTROLLERS,
-    ESTIMATORS,
-    FAULT_CAMPAIGNS,
-    POLICIES,
-    STORAGE_PRESETS,
-)
+from repro.engine.registry import APPS, CONTROLLERS, ESTIMATORS, FAULT_CAMPAIGNS, POLICIES
 from repro.faults.campaign import FaultCampaign, FaultInjector
 from repro.faults.degradation import DegradationPolicy
 from repro.obs import OBS
@@ -54,7 +47,7 @@ from repro.storage.tier import TieredStorage
 from repro.util.rng import make_rng
 from repro.workloads.analytics import AnalyticsDriver
 from repro.workloads.churn import ChurnSpec, launch_churn
-from repro.workloads.noise import NoiseSpec, launch_noise
+from repro.workloads.noise import launch_noise
 
 __all__ = ["ScenarioSession", "make_weight_function", "AUTO"]
 
@@ -88,11 +81,15 @@ def make_weight_function(
 class ScenarioSession:
     """Composes sim/storage/runtime/noise/controller/driver from a config.
 
-    ``config`` is a :class:`repro.experiments.config.ScenarioConfig` (or
-    anything duck-typed like one).  ``storage_factory(sim) ->
-    TieredStorage`` overrides the registered ``config.tiers`` preset
-    (capacity-pressure experiments build bespoke hierarchies);
-    ``placement`` is the default staging strategy for :meth:`stage`.
+    ``config`` is a :class:`repro.experiments.config.ScenarioConfig`.
+    The node is the paper's two-tier testbed unless
+    ``storage_factory(sim) -> TieredStorage`` builds another hierarchy
+    (capacity-pressure experiments do); ``placement`` names the
+    registered staging strategy :meth:`stage` and :meth:`stage_series`
+    use.  Everything else comes from the config; the only per-call
+    overrides are the per-tenant axes of multi-tenant nodes
+    (``build_ladder``'s ``app`` and ``seed``, ``build_controller``'s
+    ``policy``, ``priority`` and ``prescribed_bound``).
     """
 
     def __init__(
@@ -110,17 +107,16 @@ class ScenarioSession:
         if storage_factory is not None:
             self.storage = storage_factory(self.sim)
         else:
-            self.storage = STORAGE_PRESETS.create(config.tiers, self.sim)
+            self.storage = TieredStorage.two_tier_testbed(self.sim)
         # Every session routes device I/O through a QoS data plane.  A
         # FIFO plane with no policies is a bit-identical re-expression of
         # the legacy direct-submit path (pinned by the recorded engine
         # fingerprints), so this costs nothing on the happy path; configs
-        # opt into QoS by declaring ``qos_policies`` / ``max_inflight``
-        # (read with getattr — campaign configs may predate the fields).
+        # opt into QoS by declaring ``qos_policies`` / ``max_inflight``.
         self.dataplane = DataPlane(
             self.sim,
-            policies=dict(getattr(config, "qos_policies", ()) or ()),
-            max_inflight=getattr(config, "max_inflight", None),
+            policies=dict(config.qos_policies),
+            max_inflight=config.max_inflight,
         )
         for tier in self.storage.tiers:
             self.dataplane.attach(tier.device)
@@ -164,31 +160,20 @@ class ScenarioSession:
 
     # -- workload composition --------------------------------------------
 
-    def launch_noise(
-        self,
-        noise: Sequence[NoiseSpec] | None = None,
-        *,
-        seed: int | None = None,
-    ) -> list[Container]:
-        """Start the interfering containers on the capacity tier."""
+    def launch_noise(self) -> list[Container]:
+        """Start the config's interfering containers on the capacity tier."""
         cfg = self.config
         return launch_noise(
             self.runtime,
             self.storage.slowest,
-            cfg.noise if noise is None else noise,
-            seed=cfg.seed + 1 if seed is None else seed,
-            phase_jitter=cfg.noise_phase_jitter,
+            cfg.noise,
+            seed=cfg.seed + 1,
             period_jitter=cfg.noise_period_jitter,
         )
 
-    def launch_churn(self, spec: ChurnSpec | None = None, *, seed: int | None = None):
+    def launch_churn(self, spec: ChurnSpec | None = None):
         """Start a churning population of checkpointing jobs."""
-        return launch_churn(
-            self.runtime,
-            self.storage.slowest,
-            spec,
-            seed=self.config.seed + 2 if seed is None else seed,
-        )
+        return launch_churn(self.runtime, self.storage.slowest, spec, seed=self.config.seed + 2)
 
     def degrade_capacity_tier(self, at_time: float, speed_factor: float) -> None:
         """Schedule a mid-run capacity-tier slowdown (an aging disk)."""
@@ -196,12 +181,7 @@ class ScenarioSession:
             at_time, self.storage.slowest.device.set_speed_factor, speed_factor
         )
 
-    def apply_faults(
-        self,
-        faults: "str | FaultCampaign",
-        *,
-        seed: int | None = None,
-    ) -> FaultInjector:
+    def apply_faults(self, faults: "str | FaultCampaign") -> FaultInjector:
         """Arm a fault campaign against the capacity-tier device.
 
         ``faults`` is a campaign name from
@@ -220,48 +200,30 @@ class ScenarioSession:
         campaign = faults
         if isinstance(faults, str):
             campaign = FAULT_CAMPAIGNS.create(faults, cfg)
-        rng = make_rng(cfg.seed + 3 if seed is None else seed)
+        rng = make_rng(cfg.seed + 3)
         self.fault_injector = FaultInjector(
             self.sim, self.storage.slowest.device, campaign, rng=rng
         ).schedule()
         return self.fault_injector
 
-    def stage(
-        self,
-        name: str,
-        ladder: AccuracyLadder,
-        *,
-        placement: str | None = None,
-        size_scale: float | None = None,
-        materialize: bool = False,
-    ) -> StagedDataset:
+    def stage(self, name: str, ladder: AccuracyLadder) -> StagedDataset:
         """Stage one ladder onto the session's hierarchy."""
-        cfg = self.config
         return stage_dataset(
             name,
             ladder,
             self.storage,
-            size_scale=cfg.size_scale if size_scale is None else size_scale,
-            placement=self.placement if placement is None else placement,
-            materialize=materialize,
+            size_scale=self.config.size_scale,
+            placement=self.placement,
         )
 
-    def stage_series(
-        self,
-        name: str,
-        ladders: list[AccuracyLadder],
-        *,
-        placement: str | None = None,
-        size_scale: float | None = None,
-    ) -> TimeSeriesDataset:
+    def stage_series(self, name: str, ladders: list[AccuracyLadder]) -> TimeSeriesDataset:
         """Stage a per-timestep ladder sequence (campaign-style)."""
-        cfg = self.config
         return stage_timeseries(
             name,
             ladders,
             self.storage,
-            size_scale=cfg.size_scale if size_scale is None else size_scale,
-            placement=self.placement if placement is None else placement,
+            size_scale=self.config.size_scale,
+            placement=self.placement,
         )
 
     # -- control plane ---------------------------------------------------
@@ -270,84 +232,48 @@ class ScenarioSession:
         self,
         ladder: AccuracyLadder,
         *,
-        controller: str | None = None,
         policy: str | None = None,
         priority: float | None = None,
         prescribed_bound=AUTO,
-        weight_fn=AUTO,
-        weight_use_priority: bool | None = None,
-        weight_use_accuracy: bool | None = None,
-        weight_cardinality: str | None = None,
-        estimator=AUTO,
-        estimation_interval: int | None = None,
     ) -> BaseController:
-        """Build one tenant's adaptation loop from config + overrides.
+        """Build one tenant's adaptation loop from the config.
 
-        ``controller`` names an entry in the
+        The controller class is the config's ``controller`` entry in the
         :data:`~repro.engine.registry.CONTROLLERS` registry ("tango",
-        "pid", "mpc", or anything plugged in); it defaults to the
-        config's ``controller`` field.  Per-controller tuning flows in
-        through the config's ``controller_params`` pairs, which override
-        the session-derived :class:`~repro.control.ControllerConfig`
-        fields.
+        "pid", "mpc", or anything plugged in).  Its policy's own
+        ``build_weight_function`` gives the weight function (the config's
+        ``weight_use_*`` flags are the Fig. 13 ablation switches), the
+        estimator is created fresh from the
+        :data:`~repro.engine.registry.ESTIMATORS` registry, and the
+        controller degrades gracefully (bad feed samples walk the
+        fallback ladder instead of raising).
 
-        ``AUTO`` fields derive from the config: the prescribed bound
-        honours ``error_control`` (no error control mandates nothing
-        beyond the base error, Fig. 8's configuration), the weight
-        function comes from the policy class's own
-        ``build_weight_function``, and the estimator is created fresh
-        from the :data:`~repro.engine.registry.ESTIMATORS` registry.
+        ``policy`` and ``priority`` default to the config's.  An ``AUTO``
+        prescribed bound honours ``error_control``: no error control
+        mandates nothing beyond the base error (Fig. 8's configuration).
         """
         cfg = self.config
         policy_cls = POLICIES.get(cfg.policy if policy is None else policy)
-        if weight_fn is AUTO:
-            weight_fn = policy_cls.build_weight_function(
-                ladder,
-                use_priority=(
-                    cfg.weight_use_priority
-                    if weight_use_priority is None
-                    else weight_use_priority
-                ),
-                use_accuracy=(
-                    cfg.weight_use_accuracy
-                    if weight_use_accuracy is None
-                    else weight_use_accuracy
-                ),
-            )
-        policy_obj = policy_cls(
-            weight_fn,
-            weight_cardinality=(
-                cfg.weight_cardinality if weight_cardinality is None else weight_cardinality
-            ),
+        weight_fn = policy_cls.build_weight_function(
+            ladder,
+            use_priority=cfg.weight_use_priority,
+            use_accuracy=cfg.weight_use_accuracy,
         )
         if prescribed_bound is AUTO:
             prescribed_bound = (
                 cfg.prescribed_bound if cfg.error_control else ladder.base_error
             )
-        if estimator is AUTO:
-            estimator = ESTIMATORS.create(cfg.estimator, cfg)
-        # Engine-built controllers degrade gracefully by default (bad feed
-        # samples walk the fallback ladder instead of raising); configs
-        # can opt out with ``degradation=False`` for the strict contract.
-        degradation = DegradationPolicy() if getattr(cfg, "degradation", True) else None
-        controller_cls = CONTROLLERS.get(
-            getattr(cfg, "controller", "tango") if controller is None else controller
-        )
-        params = dict(
-            prescribed_bound=prescribed_bound,
-            priority=cfg.priority if priority is None else priority,
-            estimation_interval=(
-                cfg.estimation_interval if estimation_interval is None else estimation_interval
-            ),
-        )
-        params.update(dict(getattr(cfg, "controller_params", ()) or ()))
-        return controller_cls(
+        return CONTROLLERS.get(cfg.controller)(
             ladder,
-            policy_obj,
+            policy_cls(weight_fn, weight_cardinality=cfg.weight_cardinality),
             self.abplot,
-            config=ControllerConfig(**params),
-            estimator=estimator,
-            degradation=degradation,
+            config=ControllerConfig(
+                prescribed_bound=prescribed_bound,
+                priority=cfg.priority if priority is None else priority,
+                estimation_interval=cfg.estimation_interval,
+            ),
+            estimator=ESTIMATORS.create(cfg.estimator, cfg),
+            degradation=DegradationPolicy(),
         )
 
     def add_analytics(
@@ -356,8 +282,6 @@ class ScenarioSession:
         dataset: StagedDataset | TimeSeriesDataset,
         controller: BaseController,
         *,
-        period: float | None = None,
-        max_steps: int | None = None,
         on_step=None,
     ) -> AnalyticsDriver:
         """Create an analytics container and start its adaptive driver."""
@@ -370,10 +294,10 @@ class ScenarioSession:
             container,
             dataset,
             controller,
-            period=cfg.period if period is None else period,
-            max_steps=cfg.max_steps if max_steps is None else max_steps,
+            period=cfg.period,
+            max_steps=cfg.max_steps,
             on_step=on_step,
-            retry_policy=getattr(cfg, "retry", None),
+            retry_policy=cfg.retry,
             # Seeded per driver (after noise=+1, churn=+2, faults=+3) so
             # jittered backoff stays deterministic and tenant-independent.
             rng=make_rng(cfg.seed + 4 + len(self.drivers)),

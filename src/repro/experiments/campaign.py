@@ -15,52 +15,35 @@ import numpy as np
 
 from repro.apps import make_app
 from repro.apps.synthetic import field_time_series
-from repro.core.error_control import ErrorMetric, build_ladder
+from repro.core.error_control import build_ladder
 from repro.core.refactor import decompose, levels_for_decimation
-from repro.engine.session import ScenarioSession, make_weight_function
-from repro.experiments.config import (
-    DEFAULTS,
-    ScenarioConfig,
-    _validate_controller_fields,
-    _validate_dataplane_fields,
-)
+from repro.engine.session import ScenarioSession
+from repro.experiments.config import DEFAULTS, ScenarioConfig
 from repro.experiments.report import format_table, sparkline
 from repro.workloads.analytics import StepRecord
 from repro.workloads.churn import ChurnSpec
 
 __all__ = ["CampaignConfig", "CampaignResult", "run_campaign"]
 
+#: The campaign's application and its ladder's rung error bounds.  The
+#: period, decimation ratio, prescribed bound and priority are
+#: :class:`ScenarioConfig`'s defaults (60 s, 16, 0.01 and 10).
+_APP = "xgc"
+_ERROR_BOUNDS = (0.1, 0.01, 0.001)
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
     """Campaign-scale scenario parameters."""
 
-    app: str = "xgc"
     policy: str = "cross-layer"
     steps: int = 120
-    period: float = 60.0
     timeseries_window: int = 8
-    decimation_ratio: int = 16
-    #: Accuracy-ladder rung error bounds.
-    error_bounds: tuple[float, ...] = (0.1, 0.01, 0.001)
-    prescribed_bound: float = 0.01
-    priority: float = 10.0
     churn: ChurnSpec = field(default_factory=ChurnSpec)
     #: When set, the capacity tier drops to this speed factor at the
     #: campaign's midpoint (an aging/failing disk).
     degrade_to: float | None = None
-    #: Fault campaign name from the FAULT_CAMPAIGNS registry, or None.
-    faults: str | None = None
     estimation_interval: int = DEFAULTS.estimation_interval
-    #: QoS data-plane per-tenant policies / admission limit (same
-    #: semantics as the ScenarioConfig fields — campaigns are a config
-    #: axis for the data plane too).
-    qos_policies: tuple = ()
-    max_inflight: int | None = None
-    #: Adaptation controller / tuning overrides (same semantics as the
-    #: ScenarioConfig fields — the controller is a campaign axis too).
-    controller: str = "tango"
-    controller_params: tuple = ()
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -72,16 +55,6 @@ class CampaignConfig:
             )
         if self.degrade_to is not None and not 0.0 < self.degrade_to <= 1.0:
             raise ValueError(f"degrade_to must be in (0, 1], got {self.degrade_to}")
-        if self.faults is not None:
-            from repro.engine.registry import FAULT_CAMPAIGNS
-
-            if self.faults not in FAULT_CAMPAIGNS:
-                raise ValueError(
-                    f"unknown fault campaign {self.faults!r}; "
-                    f"expected one of {FAULT_CAMPAIGNS.names()}"
-                )
-        _validate_controller_fields(self)
-        _validate_dataplane_fields(self)
 
 
 @dataclass
@@ -136,7 +109,7 @@ class CampaignResult:
                 ("mean rung", f"{r1:.2f}", f"{r2:.2f}"),
             ],
             title=(
-                f"Campaign: {self.config.app}/{self.config.policy}, "
+                f"Campaign: {_APP}/{self.config.policy}, "
                 f"{len(self.records)} steps, churn "
                 f"{'+ degradation' if self.config.degrade_to else ''}"
             ),
@@ -149,63 +122,34 @@ class CampaignResult:
         )
 
 
-def _scenario_config(cfg: CampaignConfig) -> ScenarioConfig:
-    """The campaign's knobs expressed as the session's scenario config."""
-    return ScenarioConfig(
-        app=cfg.app,
-        policy=cfg.policy,
-        period=cfg.period,
-        max_steps=cfg.steps,
-        decimation_ratio=cfg.decimation_ratio,
-        error_bounds=cfg.error_bounds,
-        prescribed_bound=cfg.prescribed_bound,
-        priority=cfg.priority,
-        estimation_interval=cfg.estimation_interval,
-        faults=cfg.faults,
-        qos_policies=cfg.qos_policies,
-        max_inflight=cfg.max_inflight,
-        controller=cfg.controller,
-        controller_params=cfg.controller_params,
-        seed=cfg.seed,
-    )
-
-
 def run_campaign(config: CampaignConfig | None = None) -> CampaignResult:
     """Run a campaign (deterministic per seed)."""
     cfg = config if config is not None else CampaignConfig()
-    app = make_app(cfg.app)
-    base_field = app.generate(DEFAULTS.grid_shape, seed=cfg.seed)
+    scfg = ScenarioConfig(
+        app=_APP,
+        policy=cfg.policy,
+        error_bounds=_ERROR_BOUNDS,
+        max_steps=cfg.steps,
+        estimation_interval=cfg.estimation_interval,
+        seed=cfg.seed,
+    )
+    base_field = make_app(scfg.app).generate(scfg.grid_shape, seed=cfg.seed)
     fields = field_time_series(base_field, cfg.timeseries_window, seed=cfg.seed + 1)
-    levels = levels_for_decimation(base_field.shape, cfg.decimation_ratio)
+    levels = levels_for_decimation(base_field.shape, scfg.decimation_ratio)
     ladders = [
-        build_ladder(decompose(f, levels), list(cfg.error_bounds), ErrorMetric.NRMSE)
+        build_ladder(decompose(f, levels), list(scfg.error_bounds), scfg.metric)
         for f in fields
     ]
 
-    session = ScenarioSession(_scenario_config(cfg))
+    session = ScenarioSession(scfg)
     session.launch_churn(cfg.churn)
     if cfg.degrade_to is not None:
-        session.degrade_capacity_tier(cfg.steps * cfg.period / 2.0, cfg.degrade_to)
-    if cfg.faults is not None:
-        session.apply_faults(cfg.faults)
+        session.degrade_capacity_tier(cfg.steps * scfg.period / 2.0, cfg.degrade_to)
 
-    series = session.stage_series(f"{cfg.app}-campaign", ladders)
-    reference = series.ladder
-    # Campaign quirk, kept: storage-only gets the *full* weight function
-    # here (not the cardinality-only calibration single-node runs use).
-    weight_fn = (
-        make_weight_function(reference)
-        if cfg.policy in ("cross-layer", "storage-only")
-        else None
-    )
-    controller = session.build_controller(
-        reference,
-        weight_fn=weight_fn,
-        prescribed_bound=cfg.prescribed_bound,
-        weight_cardinality="bucket",
-    )
+    series = session.stage_series(f"{scfg.app}-campaign", ladders)
+    controller = session.build_controller(series.ladder)
     driver = session.add_analytics("campaign-analytics", series, controller)
-    final_time = session.run(horizon=cfg.steps * cfg.period * 3.0)
+    final_time = session.run(horizon=cfg.steps * scfg.period * 3.0)
 
     return CampaignResult(
         config=cfg,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
+from typing import ClassVar
 
 from repro.core.error_control import ErrorMetric
 from repro.faults.retry import RetryPolicy
@@ -48,9 +49,14 @@ DEFAULTS = SimpleNamespace(
 class ScenarioConfig:
     """Everything needed to run one single-node scenario."""
 
+    #: The testbed's grid and staged-size scale are paper constants, not
+    #: axes: every scenario generates a ``DEFAULTS.grid_shape`` field and
+    #: stages it ``DEFAULTS.size_scale`` times larger.
+    grid_shape: ClassVar[tuple[int, int]] = DEFAULTS.grid_shape
+    size_scale: ClassVar[float] = DEFAULTS.size_scale
+
     app: str = "xgc"
     policy: str = "cross-layer"
-    grid_shape: tuple[int, int] = DEFAULTS.grid_shape
     decimation_ratio: int = DEFAULTS.decimation_ratio
     metric: ErrorMetric = ErrorMetric.NRMSE
     #: Accuracy-ladder rung error bounds.
@@ -59,7 +65,6 @@ class ScenarioConfig:
     error_control: bool = True
     priority: float = PRIORITY_HIGH
     noise: tuple[NoiseSpec, ...] = TABLE_IV_NOISE
-    noise_phase_jitter: float = 1.0
     noise_period_jitter: float = 0.005
     period: float = DEFAULTS.analytics_period
     max_steps: int = 60
@@ -67,13 +72,8 @@ class ScenarioConfig:
     #: Bandwidth estimator: "dft" (the paper's), or the ablation baselines
     #: "mean" / "last".
     estimator: str = "dft"
-    dft_thresh: float = DEFAULTS.dft_thresh
     bw_low: float = DEFAULTS.bw_low
     bw_high: float = DEFAULTS.bw_high
-    size_scale: float = DEFAULTS.size_scale
-    #: Storage hierarchy: "two-tier" (the paper's testbed) or "three-tier"
-    #: (the Fig. 3 illustration with an NVMe performance tier).
-    tiers: str = "two-tier"
     #: Weight-function ablation (Fig 13): drop the priority and/or accuracy
     #: terms from the cross-layer weight function.
     weight_use_priority: bool = True
@@ -96,17 +96,9 @@ class ScenarioConfig:
     #: mechanism, bit-identical); an integer turns on priority admission
     #: control with that many requests in flight per device.
     max_inflight: int | None = None
-    #: Controller graceful degradation: when True (default), bad feed
-    #: samples walk the fallback ladder instead of raising.
-    degradation: bool = True
     #: Adaptation controller from the CONTROLLERS registry: "tango" (the
     #: paper's estimator loop), "pid", "mpc", or anything plugged in.
     controller: str = "tango"
-    #: Per-controller tuning overrides as (name, value) pairs naming
-    #: :class:`repro.control.ControllerConfig` fields — a tuple (not a
-    #: dict) so configs stay hashable and sweepable, e.g.
-    #: ``(("mpc_horizon", 8),)``.
-    controller_params: tuple = ()
     seed: int = 0
 
     def with_(self, **changes) -> "ScenarioConfig":
@@ -118,7 +110,7 @@ class ScenarioConfig:
         # a config can name anything registered — built-in or plugged in.
         # Imported lazily: the registry package imports component modules
         # that themselves import this config module.
-        from repro.engine.registry import ESTIMATORS, POLICIES, STORAGE_PRESETS
+        from repro.engine.registry import CONTROLLERS, ESTIMATORS, FAULT_CAMPAIGNS, POLICIES
 
         if self.policy not in POLICIES:
             raise ValueError(
@@ -142,73 +134,42 @@ class ScenarioConfig:
                 f"unknown estimator {self.estimator!r}; "
                 f"expected one of {ESTIMATORS.names()}"
             )
-        if self.tiers not in STORAGE_PRESETS:
-            raise ValueError(
-                f"unknown storage preset {self.tiers!r}; "
-                f"expected one of {STORAGE_PRESETS.names()}"
-            )
         if self.weight_cardinality not in ("bucket", "total"):
             raise ValueError(
                 f"weight_cardinality must be 'bucket' or 'total', "
                 f"got {self.weight_cardinality!r}"
             )
-        if self.faults is not None:
-            from repro.engine.registry import FAULT_CAMPAIGNS
+        if self.faults is not None and self.faults not in FAULT_CAMPAIGNS:
+            raise ValueError(
+                f"unknown fault campaign {self.faults!r}; "
+                f"expected one of {FAULT_CAMPAIGNS.names()}"
+            )
+        if self.controller not in CONTROLLERS:
+            raise ValueError(
+                f"unknown controller {self.controller!r}; "
+                f"expected one of {CONTROLLERS.names()}"
+            )
+        # Imported lazily: the dataplane package pulls in storage modules
+        # that are heavyweight relative to a config-only import.
+        from repro.dataplane.policy import QosPolicy
 
-            if self.faults not in FAULT_CAMPAIGNS:
+        seen = set()
+        for entry in self.qos_policies:
+            if not (isinstance(entry, tuple) and len(entry) == 2):
                 raise ValueError(
-                    f"unknown fault campaign {self.faults!r}; "
-                    f"expected one of {FAULT_CAMPAIGNS.names()}"
+                    f"qos_policies entries must be (tenant, QosPolicy) pairs, got {entry!r}"
                 )
-        _validate_controller_fields(self)
-        _validate_dataplane_fields(self)
-
-
-def _validate_controller_fields(config) -> None:
-    """Shared controller-axis validation (ScenarioConfig + CampaignConfig)."""
-    from repro.engine.registry import CONTROLLERS
-
-    if config.controller not in CONTROLLERS:
-        raise ValueError(
-            f"unknown controller {config.controller!r}; "
-            f"expected one of {CONTROLLERS.names()}"
-        )
-    from repro.control.config import CONTROLLER_PARAM_NAMES
-
-    for entry in config.controller_params:
-        if not (isinstance(entry, tuple) and len(entry) == 2):
-            raise ValueError(
-                f"controller_params entries must be (name, value) pairs, got {entry!r}"
-            )
-        name, _ = entry
-        if name not in CONTROLLER_PARAM_NAMES:
-            raise ValueError(
-                f"unknown controller parameter {name!r}; "
-                f"expected one of {sorted(CONTROLLER_PARAM_NAMES)}"
-            )
-
-
-def _validate_dataplane_fields(config) -> None:
-    """Shared policy/admission validation (ScenarioConfig + CampaignConfig)."""
-    # Imported lazily — the dataplane package pulls in storage modules
-    # that are heavyweight relative to a config-only import.
-    from repro.dataplane.policy import QosPolicy
-
-    seen = set()
-    for entry in config.qos_policies:
-        if not (isinstance(entry, tuple) and len(entry) == 2):
-            raise ValueError(
-                f"qos_policies entries must be (tenant, QosPolicy) pairs, got {entry!r}"
-            )
-        tenant, policy = entry
-        if not tenant or not isinstance(tenant, str):
-            raise ValueError(f"qos_policies tenant must be a non-empty string, got {tenant!r}")
-        if not isinstance(policy, QosPolicy):
-            raise ValueError(
-                f"qos_policies[{tenant!r}] must be a QosPolicy, got {policy!r}"
-            )
-        if tenant in seen:
-            raise ValueError(f"duplicate qos_policies tenant {tenant!r}")
-        seen.add(tenant)
-    if config.max_inflight is not None and config.max_inflight < 1:
-        raise ValueError(f"max_inflight must be >= 1, got {config.max_inflight}")
+            tenant, policy = entry
+            if not tenant or not isinstance(tenant, str):
+                raise ValueError(
+                    f"qos_policies tenant must be a non-empty string, got {tenant!r}"
+                )
+            if not isinstance(policy, QosPolicy):
+                raise ValueError(
+                    f"qos_policies[{tenant!r}] must be a QosPolicy, got {policy!r}"
+                )
+            if tenant in seen:
+                raise ValueError(f"duplicate qos_policies tenant {tenant!r}")
+            seen.add(tenant)
+        if self.max_inflight is not None and self.max_inflight < 1:
+            raise ValueError(f"max_inflight must be >= 1, got {self.max_inflight}")

@@ -81,10 +81,11 @@ def run_multi_scenario(
 ) -> MultiScenarioResult:
     """Run several adaptive analytics against one interfered node.
 
-    Shared infrastructure (storage per ``base_config.tiers``, noise)
-    comes from ``base_config``; per-tenant policy/priority/bound come
-    from each :class:`TenantSpec`.  Every tenant stages its own dataset
-    copy, so tenants are symmetric except for their spec.
+    Shared infrastructure (the two-tier testbed, noise, the controller
+    and weight-function settings) comes from ``base_config``; per-tenant
+    policy/priority/bound come from each :class:`TenantSpec`.  Every
+    tenant stages its own dataset copy, so tenants are symmetric except
+    for their spec.
     """
     if not tenants:
         raise ValueError("at least one tenant is required")
@@ -103,11 +104,6 @@ def run_multi_scenario(
             policy=spec.policy,
             priority=spec.priority,
             prescribed_bound=spec.prescribed_bound,
-            # Tenants always get the fully-calibrated weight shape; the
-            # base config's ablation flags only apply to single-node runs.
-            weight_use_priority=True,
-            weight_use_accuracy=True,
-            weight_cardinality="bucket",
         )
         session.add_analytics(spec.name, dataset, controller)
 

@@ -153,9 +153,9 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run one single-node scenario end to end (deterministic per seed).
 
-    ``storage_factory(sim) -> TieredStorage`` overrides the registered
-    ``config.tiers`` preset (used by capacity-pressure experiments);
-    ``placement`` names a registered staging strategy.
+    ``storage_factory(sim) -> TieredStorage`` replaces the two-tier
+    testbed (used by capacity-pressure experiments); ``placement`` names
+    a registered staging strategy.
     """
     session = ScenarioSession(
         config, storage_factory=storage_factory, placement=placement
@@ -166,7 +166,7 @@ def run_scenario(
     # Fault campaign, if the config names one.  Scheduled after the noise
     # (fault-free configs schedule nothing here, so the event sequence —
     # and the recorded fingerprints — are untouched).
-    if getattr(config, "faults", None):
+    if config.faults is not None:
         session.apply_faults(config.faults)
     controller = session.build_controller(ladder)
 

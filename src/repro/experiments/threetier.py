@@ -14,7 +14,7 @@ compares two-tier vs three-tier mean I/O time under the Table IV noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from repro.experiments.runner import run_scenario
 from repro.apps import make_app
 from repro.storage.device import DEVICE_PRESETS, DeviceSpec
 from repro.storage.tier import TieredStorage
-from repro.util.units import mb_per_s
 
 __all__ = ["ThreeTierResult", "run_threetier"]
 
@@ -70,22 +69,11 @@ class ThreeTierResult:
 
 def _constrained_specs(ssd_capacity: int, nvme_capacity: int | None) -> list[DeviceSpec]:
     """Slowest-first spec list with capacity-constrained fast tiers."""
-    from dataclasses import replace
-
     hdd = DEVICE_PRESETS["seagate-hdd-2t"]
     ssd = replace(DEVICE_PRESETS["intel-ssd-400"], capacity=ssd_capacity)
     specs = [hdd, ssd]
     if nvme_capacity is not None:
-        specs.append(
-            DeviceSpec(
-                name="nvme-p4510",
-                read_bw=mb_per_s(3000),
-                write_bw=mb_per_s(2000),
-                seek_time=0.00002,
-                capacity=nvme_capacity,
-                kind="ssd",
-            )
-        )
+        specs.append(replace(DEVICE_PRESETS["nvme-p4510"], capacity=nvme_capacity))
     return specs
 
 

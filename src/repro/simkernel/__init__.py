@@ -11,7 +11,6 @@ given seed.
 from repro.simkernel.sim import (
     SimError,
     Simulation,
-    UnhandledFailureError,
     UnhandledFailureWarning,
     tick_time,
 )
@@ -26,7 +25,6 @@ from repro.simkernel.process import Process, Timeout, Interrupt
 __all__ = [
     "Simulation",
     "SimError",
-    "UnhandledFailureError",
     "UnhandledFailureWarning",
     "tick_time",
     "Event",

@@ -22,8 +22,8 @@ churn (retry-heavy fault campaigns) cannot grow it unboundedly.
 
 Failures that nothing observes are detected at drain time: an
 :meth:`~repro.simkernel.events.Event.fail` whose exception is never
-retrieved warns (or raises, per ``on_unhandled_failure``) when the loop
-drains — mirroring asyncio's "exception was never retrieved".
+retrieved warns when the loop drains — mirroring asyncio's "exception
+was never retrieved".
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.simkernel.events import Event, ScheduledCallback
 __all__ = [
     "Simulation",
     "SimError",
-    "UnhandledFailureError",
     "UnhandledFailureWarning",
     "tick_time",
 ]
@@ -46,10 +45,6 @@ __all__ = [
 
 class SimError(RuntimeError):
     """Raised for simulation-kernel usage errors."""
-
-
-class UnhandledFailureError(SimError):
-    """Raised at drain time when event failures were never retrieved."""
 
 
 class UnhandledFailureWarning(RuntimeWarning):
@@ -68,8 +63,6 @@ def tick_time(start: float, n: int, period: float) -> float:
     """
     return start + n * period
 
-
-_FAILURE_MODES = ("warn", "raise", "ignore")
 
 #: Compaction trigger: lazily-cancelled entries must number at least this
 #: many *and* be at least half the queue before a rebuild pays off.
@@ -92,17 +85,11 @@ class Simulation:
     would have produced); the test suite checks this against a subclass
     that dispatches every entry on its own.
 
-    ``on_unhandled_failure`` controls what happens when the loop drains
-    with event failures nothing ever retrieved: ``"warn"`` (default),
-    ``"raise"``, or ``"ignore"``.
+    When the loop drains with event failures nothing ever retrieved, it
+    warns with an :class:`UnhandledFailureWarning`.
     """
 
-    def __init__(self, *, on_unhandled_failure: str = "warn") -> None:
-        if on_unhandled_failure not in _FAILURE_MODES:
-            raise SimError(
-                f"on_unhandled_failure must be one of {_FAILURE_MODES}, "
-                f"got {on_unhandled_failure!r}"
-            )
+    def __init__(self) -> None:
         #: Current simulated time (seconds).  A plain attribute, not a
         #: property: it is read on every schedule/dispatch and the
         #: descriptor overhead is measurable.  Treat as read-only.
@@ -140,7 +127,6 @@ class Simulation:
         self._group_calls = 0
         self._grouped_events = 0
         # Unhandled-failure detection (see events.Event.fail).
-        self._failure_mode = on_unhandled_failure
         self._unhandled: list[Event] = []
 
     # -- scheduling -----------------------------------------------------
@@ -231,11 +217,10 @@ class Simulation:
 
     def _note_unhandled_failure(self, ev: Event) -> None:
         """An Event.fail() ran with no callbacks registered."""
-        if self._failure_mode != "ignore":
-            self._unhandled.append(ev)
+        self._unhandled.append(ev)
 
     def check_unhandled_failures(self) -> None:
-        """Warn or raise for failed events whose exception nobody took.
+        """Warn for failed events whose exception nobody took.
 
         Runs automatically when :meth:`run` drains the queue; callers
         that stop early (``until=``) can invoke it explicitly.
@@ -244,7 +229,7 @@ class Simulation:
             return
         pending = [ev for ev in self._unhandled if not ev._retrieved]
         self._unhandled.clear()
-        if not pending or self._failure_mode == "ignore":
+        if not pending:
             return
         first = pending[0]._exception
         msg = (
@@ -252,8 +237,6 @@ class Simulation:
             f"(first: {first!r}); yield the event, register a callback, "
             f"or read .exception"
         )
-        if self._failure_mode == "raise":
-            raise UnhandledFailureError(msg) from first
         warnings.warn(msg, UnhandledFailureWarning, stacklevel=2)
 
     # -- introspection ----------------------------------------------------
@@ -334,8 +317,8 @@ class Simulation:
         on return (even if the last event fired earlier), mirroring the
         usual DES convention.
 
-        On a full drain, unretrieved event failures are reported per the
-        ``on_unhandled_failure`` mode (see :meth:`check_unhandled_failures`).
+        On a full drain, unretrieved event failures are reported (see
+        :meth:`check_unhandled_failures`).
         """
         if until is not None and until < self.now:
             raise SimError(f"until={until} is in the past (now={self.now})")

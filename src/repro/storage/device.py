@@ -185,6 +185,16 @@ DEVICE_PRESETS: dict[str, DeviceSpec] = {
         mixed_penalty=0.25,
         write_floor_bps=mb_per_s(10),
     ),
+    # Intel P4510 NVMe SSD: the performance tier of the paper's Fig. 3
+    # three-tier illustration (the three-tier extension experiment).
+    "nvme-p4510": DeviceSpec(
+        name="nvme-p4510",
+        read_bw=mb_per_s(3000),
+        write_bw=mb_per_s(2000),
+        seek_time=0.00002,
+        capacity=256 * GiB,
+        kind="ssd",
+    ),
     # Seagate 600 GB 15000 RPM SAS HDD (Fig. 1 motivation experiment).
     "seagate-hdd-15k": DeviceSpec(
         name="seagate-hdd-15k",

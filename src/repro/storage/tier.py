@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.registry import register_storage_preset
 from repro.simkernel import Simulation
 from repro.storage.device import DEVICE_PRESETS, BlockDevice, DeviceSpec
 from repro.storage.filesystem import Filesystem
@@ -66,27 +65,6 @@ class TieredStorage:
         """The paper's evaluation hierarchy: HDD capacity + SSD performance."""
         return cls(sim, [DEVICE_PRESETS["seagate-hdd-2t"], DEVICE_PRESETS["intel-ssd-400"]])
 
-    @classmethod
-    def three_tier_testbed(cls, sim: Simulation) -> "TieredStorage":
-        """The three-tier hierarchy of the paper's Fig. 3 illustration:
-        HDD capacity tier, SATA SSD middle tier, NVMe performance tier."""
-        from repro.util.units import GiB
-        from repro.storage.device import DeviceSpec
-        from repro.util.units import mb_per_s
-
-        nvme = DeviceSpec(
-            name="nvme-p4510",
-            read_bw=mb_per_s(3000),
-            write_bw=mb_per_s(2000),
-            seek_time=0.00002,
-            capacity=256 * GiB,
-            kind="ssd",
-        )
-        return cls(
-            sim,
-            [DEVICE_PRESETS["seagate-hdd-2t"], DEVICE_PRESETS["intel-ssd-400"], nvme],
-        )
-
     @property
     def num_tiers(self) -> int:
         return len(self.tiers)
@@ -107,10 +85,3 @@ class TieredStorage:
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
         return self.tiers[min(level, self.num_tiers - 1)]
-
-
-# Hierarchies a ScenarioConfig can name by its ``tiers`` field; bespoke
-# hierarchies (capacity-pressure experiments) bypass the registry with a
-# ``storage_factory`` instead.
-register_storage_preset("two-tier", TieredStorage.two_tier_testbed)
-register_storage_preset("three-tier", TieredStorage.three_tier_testbed)

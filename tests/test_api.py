@@ -109,9 +109,12 @@ def _removed_spellings():
     import importlib
 
     import repro.api
+    import repro.control.config
     import repro.core
     import repro.dataplane
+    import repro.engine
     import repro.engine.registry
+    import repro.simkernel
     import repro.experiments.runner as runner
     import repro.storage
     import repro.workloads
@@ -128,6 +131,7 @@ def _removed_spellings():
     from repro.experiments.config import ScenarioConfig
     from repro.experiments.fig16 import run_fig16
     from repro.simkernel import Simulation
+    from repro.storage.tier import TieredStorage
 
     # The build_ladder, ladder_for_app and TangoController calls fail
     # while binding arguments, before the (absent) decomposition, app or
@@ -231,6 +235,93 @@ def _removed_spellings():
                 "register_schedule_stage",
             )
         },
+        **{
+            f"scenario_config_{name}_keyword": (
+                lambda name=name: ScenarioConfig(**{name: None}), TypeError
+            )
+            for name in (
+                "grid_shape",
+                "size_scale",
+                "noise_phase_jitter",
+                "dft_thresh",
+                "tiers",
+                "degradation",
+                "controller_params",
+            )
+        },
+        **{
+            f"campaign_config_{name}_keyword": (
+                lambda name=name: CampaignConfig(**{name: None}), TypeError
+            )
+            for name in (
+                "app",
+                "period",
+                "decimation_ratio",
+                "error_bounds",
+                "prescribed_bound",
+                "priority",
+                "faults",
+                "qos_policies",
+                "max_inflight",
+                "controller",
+                "controller_params",
+            )
+        },
+        # The session methods fail while binding arguments, before the
+        # (absent) session, ladder or dataset is touched.
+        **{
+            f"scenario_session_{method}_{name}_keyword": (
+                lambda method=method, args=args, name=name: getattr(
+                    ScenarioSession, method
+                )(None, *args, **{name: None}),
+                TypeError,
+            )
+            for method, args, names in (
+                (
+                    "build_controller",
+                    (None,),
+                    (
+                        "controller",
+                        "estimator",
+                        "estimation_interval",
+                        "weight_fn",
+                        "weight_use_priority",
+                        "weight_use_accuracy",
+                        "weight_cardinality",
+                    ),
+                ),
+                ("stage", ("data", None), ("placement", "size_scale", "materialize")),
+                ("stage_series", ("data", []), ("placement", "size_scale")),
+                ("add_analytics", ("analytics", None, None), ("period", "max_steps")),
+                ("launch_noise", (), ("noise", "seed")),
+                ("launch_churn", (), ("seed",)),
+                ("apply_faults", ("chaos",), ("seed",)),
+            )
+            for name in names
+        },
+        "simulation_on_unhandled_failure_keyword": (
+            lambda: Simulation(on_unhandled_failure="raise"), TypeError
+        ),
+        **{
+            f"{where}_{name}": (
+                lambda module=module, name=name: getattr(module, name), AttributeError
+            )
+            for where, module in (
+                ("api", repro.api),
+                ("engine", repro.engine),
+                ("registry", repro.engine.registry),
+            )
+            for name in ("STORAGE_PRESETS", "register_storage_preset")
+        },
+        "tiered_storage_three_tier_testbed": (
+            lambda: TieredStorage.three_tier_testbed, AttributeError
+        ),
+        "control_config_CONTROLLER_PARAM_NAMES": (
+            lambda: repro.control.config.CONTROLLER_PARAM_NAMES, AttributeError
+        ),
+        "simkernel_UnhandledFailureError": (
+            lambda: repro.simkernel.UnhandledFailureError, AttributeError
+        ),
         **{
             f"module_{module}": (
                 lambda module=module: importlib.import_module(module), ModuleNotFoundError

@@ -78,3 +78,30 @@ class TestDegradedCampaign:
         res = self._run("cross-layer", 1)
         r1, r2 = res.rung_half_means()
         assert r2 < r1
+
+
+def test_storage_only_campaign_weighs_by_cardinality_only(monkeypatch):
+    """A storage-only campaign programs the weights its policy defines
+    everywhere else: cardinality only, whatever the bucket's bound or the
+    tenant's priority."""
+    from repro.core.controller import StorageOnlyPolicy
+    from repro.engine.session import ScenarioSession
+
+    ladders = []
+    build_controller = ScenarioSession.build_controller
+
+    def spy(self, ladder, **kwargs):
+        ladders.append(ladder)
+        return build_controller(self, ladder, **kwargs)
+
+    monkeypatch.setattr(ScenarioSession, "build_controller", spy)
+    res = run_campaign(
+        CampaignConfig(policy="storage-only", steps=3, timeseries_window=2, seed=2)
+    )
+    (reference,) = ladders
+    weight_fn = StorageOnlyPolicy.build_weight_function(reference)
+    expected = tuple(
+        weight_fn(b.cardinality, b.bound, 10.0) for b in reference.buckets
+    )
+    assert res.records
+    assert all(r.weights == expected for r in res.records)

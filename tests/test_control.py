@@ -101,14 +101,6 @@ class TestControllerConfig:
         with pytest.raises(ValueError, match="unknown controller"):
             ScenarioConfig(controller="lqr")
 
-    def test_scenario_config_rejects_unknown_param(self):
-        with pytest.raises(ValueError, match="unknown controller parameter"):
-            ScenarioConfig(controller_params=(("gain", 2.0),))
-
-    def test_scenario_config_rejects_non_pair_params(self):
-        with pytest.raises(ValueError, match="pairs"):
-            ScenarioConfig(controller_params=("mpc_horizon",))
-
 
 # -- scenario integration -------------------------------------------------
 
@@ -162,15 +154,21 @@ class TestScenarioIntegration:
         )
 
     def test_controller_params_reach_the_controller(self):
+        """The config's controller, bound, priority and estimation interval
+        reach the built controller; its tuning fields keep their defaults."""
         res = run_scenario(
             ScenarioConfig(
                 max_steps=3,
                 controller="mpc",
-                controller_params=(("mpc_horizon", 2),),
+                prescribed_bound=0.001,
+                priority=5.0,
+                estimation_interval=7,
             )
         )
         assert isinstance(res.controller, MpcController)
-        assert res.controller.config.mpc_horizon == 2
+        assert res.controller.config == ControllerConfig(
+            prescribed_bound=0.001, priority=5.0, estimation_interval=7
+        )
 
 
 # -- PID properties -------------------------------------------------------

@@ -24,7 +24,6 @@ from repro.engine.registry import (
     ESTIMATORS,
     PLACEMENTS,
     POLICIES,
-    STORAGE_PRESETS,
     Registry,
     register_estimator,
 )
@@ -34,6 +33,8 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.multi import TenantSpec, run_multi_scenario
 from repro.experiments.runner import ScenarioResult, run_scenario
 from repro.obs import OBS, enabled_scope
+from repro.storage.device import DEVICE_PRESETS
+from repro.storage.tier import TieredStorage
 from tests import sweep_jobs
 from tests.scalar_oracle import ScalarSimulation
 
@@ -103,7 +104,6 @@ class TestRegistry:
             "storage-only",
             "cross-layer",
         }
-        assert set(STORAGE_PRESETS.names()) >= {"two-tier", "three-tier"}
         assert set(PLACEMENTS.names()) >= {"level", "capacity"}
         assert set(APPS.names()) >= {"xgc", "genasis", "cfd"}
 
@@ -134,8 +134,6 @@ class TestConfigValidation:
     def test_unknown_component_names(self):
         with pytest.raises(ValueError, match="unknown policy"):
             ScenarioConfig(policy="nope")
-        with pytest.raises(ValueError, match="unknown storage preset"):
-            ScenarioConfig(tiers="four-tier")
 
     @pytest.mark.parametrize("option", ["kernel", "dispatch"])
     def test_removed_kernel_options_rejected(self, option):
@@ -327,6 +325,12 @@ def _rec_tuple(r):
     )
 
 
+def _three_tier(sim):
+    """The Fig. 3 hierarchy: HDD capacity, SATA SSD middle, NVMe performance."""
+    names = ("seagate-hdd-2t", "intel-ssd-400", "nvme-p4510")
+    return TieredStorage(sim, [DEVICE_PRESETS[n] for n in names])
+
+
 def _fingerprint(records, extras):
     payload = json.dumps([list(_rec_tuple(r)) for r in records] + extras)
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -344,13 +348,8 @@ class TestBehaviourFingerprints:
 
     def test_run_scenario_three_tier(self):
         res = run_scenario(
-            ScenarioConfig(
-                max_steps=5,
-                seed=1,
-                policy="storage-only",
-                tiers="three-tier",
-                estimator="mean",
-            )
+            ScenarioConfig(max_steps=5, seed=1, policy="storage-only", estimator="mean"),
+            storage_factory=_three_tier,
         )
         assert (
             _fingerprint(res.records, [res.final_time])
@@ -399,13 +398,8 @@ class TestBehaviourFingerprints:
 
     def test_run_scenario_three_tier_scalar_dispatch_matches(self, scalar_sessions):
         res = run_scenario(
-            ScenarioConfig(
-                max_steps=5,
-                seed=1,
-                policy="storage-only",
-                tiers="three-tier",
-                estimator="mean",
-            )
+            ScenarioConfig(max_steps=5, seed=1, policy="storage-only", estimator="mean"),
+            storage_factory=_three_tier,
         )
         assert (
             _fingerprint(res.records, [res.final_time])

@@ -374,16 +374,3 @@ class TestScenarioUnderFaults:
             ScenarioConfig(**FAST_CHAOS, retry=HARDENED_RETRY)
         )
         assert hard.total_skipped_objects <= base.total_skipped_objects
-
-    def test_campaign_config_supports_faults(self):
-        from repro.experiments.campaign import CampaignConfig, run_campaign
-        from repro.workloads.churn import ChurnSpec
-
-        res = run_campaign(
-            CampaignConfig(
-                steps=8, timeseries_window=2,
-                churn=ChurnSpec(arrival_rate=1 / 200.0, mean_lifetime=400.0),
-                faults="error-bursts", seed=1,
-            )
-        )
-        assert len(res.records) == 8

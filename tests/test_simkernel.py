@@ -12,7 +12,6 @@ from repro.simkernel import (
     SimError,
     Simulation,
     Timeout,
-    UnhandledFailureError,
     UnhandledFailureWarning,
     tick_time,
 )
@@ -471,21 +470,6 @@ class TestUnhandledFailures:
         with pytest.warns(UnhandledFailureWarning, match="never retrieved"):
             sim.run()
 
-    def test_raise_mode(self):
-        s = Simulation(on_unhandled_failure="raise")
-        ev = s.event()
-        s.schedule(1.0, ev.fail, RuntimeError("boom"))
-        with pytest.raises(UnhandledFailureError):
-            s.run()
-
-    def test_ignore_mode(self):
-        s = Simulation(on_unhandled_failure="ignore")
-        ev = s.event()
-        s.schedule(1.0, ev.fail, RuntimeError("boom"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            s.run()
-
     def test_callback_at_fail_time_retrieves(self, sim):
         ev = sim.event()
         ev.add_callback(lambda e: None)
@@ -524,10 +508,6 @@ class TestUnhandledFailures:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sim.run()
-
-    def test_invalid_failure_mode_rejected(self):
-        with pytest.raises(SimError):
-            Simulation(on_unhandled_failure="explode")
 
     @pytest.mark.parametrize("option", ["kernel", "dispatch"])
     def test_removed_options_rejected(self, option):

@@ -17,9 +17,14 @@ def ladder(smooth_field):
     return build_ladder(dec, [0.1, 0.01, 0.001], ErrorMetric.NRMSE)
 
 
+def _three_tier(sim):
+    names = ("seagate-hdd-2t", "intel-ssd-400", "nvme-p4510")
+    return TieredStorage(sim, [DEVICE_PRESETS[n] for n in names])
+
+
 class TestThreeTierPreset:
     def test_ordering(self, sim):
-        storage = TieredStorage.three_tier_testbed(sim)
+        storage = _three_tier(sim)
         assert storage.num_tiers == 3
         assert storage.slowest.device.spec.kind == "hdd"
         assert storage.fastest.device.spec.name == "nvme-p4510"
@@ -28,7 +33,7 @@ class TestThreeTierPreset:
         assert bws == sorted(bws)
 
     def test_level_mapping_uses_middle_tier(self, sim):
-        storage = TieredStorage.three_tier_testbed(sim)
+        storage = _three_tier(sim)
         assert storage.tier_for_level(0).index == 0
         assert storage.tier_for_level(1).index == 1
         assert storage.tier_for_level(2).index == 2
