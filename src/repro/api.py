@@ -21,6 +21,7 @@ from __future__ import annotations
 
 # -- adaptation controllers ------------------------------------------------
 from repro.control import (
+    CONTROLLERS,
     AdaptationDecision,
     BaseController,
     ControllerConfig,
@@ -31,9 +32,9 @@ from repro.control import (
 
 # -- core pipeline: refactor -> ladder -> serialize ------------------------
 from repro.core.abplot import AugmentationBandwidthPlot
-from repro.core.controller import make_policy
+from repro.core.controller import POLICIES, make_policy
 from repro.core.error_control import AccuracyLadder, ErrorMetric, build_ladder
-from repro.core.estimator import DFTEstimator
+from repro.core.estimator import ESTIMATORS, DFTEstimator
 from repro.core.metrics import nrmse, psnr
 from repro.core.refactor import Decomposition, decompose, levels_for_decimation
 from repro.core.serialize import pack_ladder, unpack_ladder, unpack_partial
@@ -43,22 +44,11 @@ from repro.core.weights import WeightFunction, calibrate_weight_function
 from repro.dataplane import DataPlane, QosPolicy, SloTarget, TokenBucket
 
 # -- scenario engine -------------------------------------------------------
-from repro.engine.registry import (
-    APPS,
-    CONTROLLERS,
-    ESTIMATORS,
-    FAULT_CAMPAIGNS,
-    PLACEMENTS,
-    POLICIES,
-    register_app,
-    register_controller,
-    register_estimator,
-    register_fault_campaign,
-    register_placement,
-    register_policy,
-)
+from repro.apps import APPS
 from repro.engine.session import ScenarioSession, make_weight_function
 from repro.engine.sweep import ScenarioSummary, SweepExecutor
+from repro.faults.campaign import FAULT_CAMPAIGNS
+from repro.storage.staging import PLACEMENTS
 
 # -- experiments -----------------------------------------------------------
 from repro.experiments.campaign import CampaignConfig, CampaignResult, run_campaign
@@ -87,7 +77,6 @@ from repro.cluster import (
     ARBITRATION,
     ClusterConfig,
     ClusterResult,
-    register_arbitration,
     run_cluster,
 )
 from repro.experiments.cluster import ClusterCompareResult, run_cluster_compare
@@ -104,7 +93,6 @@ __all__ = [
     "MpcController",
     "PidController",
     "TangoController",
-    "register_controller",
     # core pipeline
     "AccuracyLadder",
     "AugmentationBandwidthPlot",
@@ -137,17 +125,11 @@ __all__ = [
     "ScenarioSummary",
     "SweepExecutor",
     "make_weight_function",
-    "register_app",
-    "register_estimator",
-    "register_fault_campaign",
-    "register_placement",
-    "register_policy",
     # cluster scale
     "ARBITRATION",
     "ClusterConfig",
     "ClusterResult",
     "ClusterCompareResult",
-    "register_arbitration",
     "run_cluster",
     "run_cluster_compare",
     # experiments

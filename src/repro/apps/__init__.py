@@ -11,7 +11,7 @@ from repro.apps.synthetic import (
 from repro.apps.xgc import XGCBlobDetection, BlobStats, detect_blobs
 from repro.apps.genasis import GenASiSRendering, RenderQuality
 from repro.apps.cfd import CFDPressureAnalysis, PressureStats
-from repro.engine.registry import APPS, register_app
+from repro.util.validation import lookup
 
 __all__ = [
     "AnalyticsApp",
@@ -25,20 +25,17 @@ __all__ = [
     "RenderQuality",
     "CFDPressureAnalysis",
     "PressureStats",
+    "APPS",
     "ALL_APPS",
     "make_app",
 ]
 
-# The paper's presentation order (Table III), kept static because figure
-# grids iterate it; the APPS registry is the extensible lookup behind it.
-ALL_APPS = ("xgc", "genasis", "cfd")
-
-register_app("xgc", XGCBlobDetection)
-register_app("genasis", GenASiSRendering)
-register_app("cfd", CFDPressureAnalysis)
+#: The three analytics in the paper's order (Table III); figure grids
+#: iterate ``ALL_APPS`` in this order.
+APPS = {"xgc": XGCBlobDetection, "genasis": GenASiSRendering, "cfd": CFDPressureAnalysis}
+ALL_APPS = tuple(APPS)
 
 
 def make_app(name: str, **kwargs) -> AnalyticsApp:
-    """Instantiate an analytics app from the
-    :data:`~repro.engine.registry.APPS` registry by short name."""
-    return APPS.create(name, **kwargs)
+    """Instantiate an analytics app from :data:`APPS` by short name."""
+    return lookup("app", APPS, name)(**kwargs)

@@ -5,7 +5,7 @@ Examples::
     python -m repro scenario --app xgc --policy cross-layer --steps 30
     python -m repro figure fig08 --fast
     python -m repro figure headline
-    python -m repro cluster --nodes 32 --arbitration adaptbf --workers auto
+    python -m repro cluster --nodes 32 --arbitration adaptbf
     python -m repro tables
     python -m repro list
 """
@@ -243,24 +243,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Choices come from the engine registries, so plugged-in components
-    # (registered before build_parser is called) are selectable here too.
-    from repro.engine.registry import APPS, ESTIMATORS, FAULT_CAMPAIGNS, POLICIES
+    from repro.apps import APPS
+    from repro.core.controller import POLICIES
+    from repro.core.estimator import ESTIMATORS
+    from repro.faults.campaign import FAULT_CAMPAIGNS
 
     sc = sub.add_parser("scenario", help="run one single-node scenario")
-    sc.add_argument("--app", default="xgc", choices=APPS.names())
-    sc.add_argument("--policy", default="cross-layer", choices=POLICIES.names())
+    sc.add_argument("--app", default="xgc", choices=sorted(APPS))
+    sc.add_argument("--policy", default="cross-layer", choices=sorted(POLICIES))
     sc.add_argument("--steps", type=int, default=30)
     sc.add_argument("--seed", type=int, default=0)
     sc.add_argument("--priority", type=float, default=10.0)
     sc.add_argument("--bound", type=float, default=0.01, help="prescribed NRMSE bound")
     sc.add_argument("--noises", type=int, default=6, help="number of Table IV noises")
-    sc.add_argument("--estimator", default="dft", choices=ESTIMATORS.names())
+    sc.add_argument("--estimator", default="dft", choices=sorted(ESTIMATORS))
     sc.add_argument(
         "--faults",
         default=None,
-        choices=FAULT_CAMPAIGNS.names(),
-        help="arm a registered fault campaign (seeded from --seed)",
+        choices=sorted(FAULT_CAMPAIGNS),
+        help="arm a fault campaign (seeded from --seed)",
     )
     sc.add_argument("--csv", metavar="PATH", help="write the per-step trace as CSV")
     sc.add_argument("--json", action="store_true", help="print a JSON summary")
@@ -289,16 +290,15 @@ def build_parser() -> argparse.ArgumentParser:
         "stability",
         help="score the controller family against stability reference inputs",
     )
-    from repro.engine.registry import CONTROLLERS
+    from repro.control import CONTROLLERS
 
-    st.add_argument("--app", default="xgc", choices=APPS.names())
-    st.add_argument("--policy", default="cross-layer", choices=POLICIES.names())
+    st.add_argument("--app", default="xgc", choices=sorted(APPS))
+    st.add_argument("--policy", default="cross-layer", choices=sorted(POLICIES))
     st.add_argument(
         "--controllers",
         default="tango,pid,mpc",
         metavar="NAMES",
-        help="comma-separated controller names "
-        f"(registered: {', '.join(CONTROLLERS.names())})",
+        help=f"comma-separated controller names ({', '.join(sorted(CONTROLLERS))})",
     )
     st.add_argument(
         "--inputs",
@@ -341,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     cl.add_argument("--shards", type=int, default=4)
     cl.add_argument("--tenants", type=int, default=4, help="tenants per node")
     cl.add_argument("--rounds", type=int, default=40)
-    cl.add_argument(
-        "--arbitration", default="centralized", choices=ARBITRATION.names()
-    )
+    cl.add_argument("--arbitration", default="centralized", choices=sorted(ARBITRATION))
     cl.add_argument("--seed", type=int, default=0)
     cl.add_argument(
         "--workers",
@@ -433,15 +431,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_stability(args: argparse.Namespace) -> int:
     from dataclasses import asdict
 
-    from repro.engine.registry import CONTROLLERS
+    from repro.control import CONTROLLERS
     from repro.experiments.stability import STABILITY_INPUTS, run_stability
 
     controllers = tuple(c for c in args.controllers.split(",") if c)
     inputs = tuple(i for i in args.inputs.split(",") if i)
     for name in controllers:
         if name not in CONTROLLERS:
-            print(f"unknown controller {name!r}; registered: "
-                  f"{', '.join(CONTROLLERS.names())}", file=sys.stderr)
+            print(f"unknown controller {name!r}; expected one of "
+                  f"{', '.join(sorted(CONTROLLERS))}", file=sys.stderr)
             return 2
     for name in inputs:
         if name not in STABILITY_INPUTS:

@@ -1,12 +1,12 @@
-"""Node-sharded cluster kernel with pluggable bandwidth arbitration.
+"""Node-sharded cluster kernel with cross-node bandwidth arbitration.
 
 One :class:`ClusterConfig` describes ``n_nodes`` token-governed nodes
 partitioned over ``shards`` independent shards, advanced in bounded-lag
 rounds by :func:`run_cluster` — serially or on a pool of ``spawn``
 workers, with bit-identical results either way.  A shard needs no event
 kernel: it drains its tenants' arrivals from one heap and observes the
-completions due at each round end (:mod:`repro.cluster.shard`).  Cross-node
-bandwidth arbitration is a registry axis (:data:`ARBITRATION`):
+completions due at each round end (:mod:`repro.cluster.shard`).
+:data:`ARBITRATION` maps each arbitration policy's name to its factory:
 ``centralized`` mirrors the paper's global weight controller,
 ``adaptbf`` trades tokens between ring neighbours with no coordinator.
 """
@@ -16,7 +16,6 @@ from repro.cluster.arbitration import (
     AdaptiveTokenBorrowing,
     ArbitrationPolicy,
     CentralizedWeights,
-    register_arbitration,
 )
 from repro.cluster.bus import Message, Outbox, route
 from repro.cluster.config import ClusterConfig
@@ -32,7 +31,6 @@ from repro.cluster.shard import ShardResult, ShardRuntime
 
 __all__ = [
     "ARBITRATION",
-    "register_arbitration",
     "ArbitrationPolicy",
     "CentralizedWeights",
     "AdaptiveTokenBorrowing",

@@ -33,22 +33,12 @@ Two built-ins frame the comparison the paper invites:
 
 from __future__ import annotations
 
-from repro.engine.registry import Registry
-
 __all__ = [
     "ARBITRATION",
-    "register_arbitration",
     "ArbitrationPolicy",
     "CentralizedWeights",
     "AdaptiveTokenBorrowing",
 ]
-
-#: Cross-node arbitration policies: ``factory(config, node_id) -> policy``.
-ARBITRATION = Registry("arbitration policy")
-
-
-def register_arbitration(name: str, obj=None, **kw):
-    return ARBITRATION.register(name, obj, **kw)
 
 
 class ArbitrationPolicy:
@@ -65,7 +55,6 @@ class ArbitrationPolicy:
         return None
 
 
-@register_arbitration("centralized")
 class CentralizedWeights(ArbitrationPolicy):
     """The paper's global weight controller, hosted on node 0.
 
@@ -125,7 +114,6 @@ class CentralizedWeights(ArbitrationPolicy):
         return [(i, floor + spare * wants[i] / total_want) for i in range(n)]
 
 
-@register_arbitration("adaptbf")
 class AdaptiveTokenBorrowing(ArbitrationPolicy):
     """Decentralized adaptive token borrowing over a node ring.
 
@@ -236,3 +224,7 @@ class AdaptiveTokenBorrowing(ArbitrationPolicy):
         idle = node.rate * max(0.0, 1.0 - self.util_ewma)
         keep = self.config.lend_floor * node.base_rate
         return max(0.0, min(ask, 0.5 * idle, node.rate - keep))
+
+
+#: Cross-node arbitration policies: ``factory(config, node_id) -> policy``.
+ARBITRATION = {"centralized": CentralizedWeights, "adaptbf": AdaptiveTokenBorrowing}

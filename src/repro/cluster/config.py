@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from repro.cluster.arbitration import ARBITRATION
 from repro.util.units import MiB, mb_per_s
+from repro.util.validation import lookup
 
 __all__ = ["ClusterConfig"]
 
@@ -46,8 +48,8 @@ class ClusterConfig:
     #: are delivered at the start of round ``k + 1``.
     round_interval: float = 1.0
     rounds: int = 30
-    #: Cross-node bandwidth arbitration policy, a name from the
-    #: :data:`repro.cluster.arbitration.ARBITRATION` registry
+    #: Cross-node bandwidth arbitration policy, a name from
+    #: :data:`repro.cluster.arbitration.ARBITRATION`
     #: ("centralized" mirrors the paper's global weight controller,
     #: "adaptbf" is decentralized adaptive token borrowing).
     arbitration: str = "centralized"
@@ -175,12 +177,4 @@ class ClusterConfig:
             raise ValueError(
                 f"return_watermark must be in [0, 1], got {self.return_watermark}"
             )
-        # Validated lazily against the registry so plugged-in policies
-        # (registered before the config is built) are accepted.
-        from repro.cluster.arbitration import ARBITRATION
-
-        if self.arbitration not in ARBITRATION:
-            raise ValueError(
-                f"unknown arbitration policy {self.arbitration!r}; "
-                f"expected one of {ARBITRATION.names()}"
-            )
+        lookup("arbitration policy", ARBITRATION, self.arbitration)

@@ -85,9 +85,10 @@ class ShardRuntime:
         # and ``uniform(0.5, 1.5)`` perform on the same draws
         # (tests/test_util_rng.py pins the identity).
         self._arrivals: list[tuple] = []
+        arbiter = ARBITRATION[config.arbitration]
         for node_id in config.nodes_of_shard(shard_id):
             node = NodeState(config, node_id, self.registry, rngs[node_id])
-            node.arbiter = ARBITRATION.create(config.arbitration, config, node_id)
+            node.arbiter = arbiter(config, node_id)
             self.nodes.append(node)
             mean = node.mean_interarrival
             for rng in node.tenant_rngs:

@@ -2,10 +2,9 @@
 
 One protocol — ``observe(step, measured_bw)`` / ``decide(step)`` →
 :class:`~repro.control.base.AdaptationDecision` — shared by every entry
-in the :data:`repro.engine.registry.CONTROLLERS` registry:
+of :data:`CONTROLLERS`:
 
-* ``"tango"`` — the paper's estimator-prediction loop (bit-identical to
-  the pre-registry ``TangoController``);
+* ``"tango"`` — the paper's estimator-prediction loop;
 * ``"pid"`` — model-free PID feedback with anti-windup and derivative
   filtering;
 * ``"mpc"`` — finite-horizon predictive control reusing the estimator
@@ -16,8 +15,7 @@ Controllers are constructed with a keyword-only
 one with ``ScenarioConfig(controller="pid")``, and the session builds it
 with the config's bound, priority and estimation interval and every
 other field at its default (code that constructs a controller directly
-tunes the rest).  Downstream code plugs in its own with
-``@register_controller`` on a :class:`BaseController` subclass.
+tunes the rest).
 """
 
 from repro.control.base import AdaptationDecision, BaseController
@@ -29,8 +27,14 @@ from repro.control.tango import TangoController
 __all__ = [
     "AdaptationDecision",
     "BaseController",
+    "CONTROLLERS",
     "ControllerConfig",
     "MpcController",
     "PidController",
     "TangoController",
 ]
+
+#: Controller classes by the names scenario configs use.  The session
+#: builds each as ``cls(ladder, policy, abplot, config=ControllerConfig(...),
+#: estimator=..., degradation=...)``.
+CONTROLLERS = {cls.name: cls for cls in (TangoController, PidController, MpcController)}

@@ -1,7 +1,7 @@
 """The shared controller protocol: observe → (re)estimate → decide.
 
-Every controller in the family (:data:`repro.engine.registry.CONTROLLERS`)
-is a :class:`BaseController` subclass sharing one loop contract with the
+Every controller in the family (:data:`repro.control.CONTROLLERS`) is
+a :class:`BaseController` subclass sharing one loop contract with the
 analytics driver:
 
 1. ``decide(step)`` → :class:`AdaptationDecision` — the recomposition
@@ -103,7 +103,7 @@ class BaseController:
         contract: a bad sample raises :class:`ValueError`.
     """
 
-    #: Registry name of this controller family member.
+    #: This family member's key in ``CONTROLLERS``.
     name: str = "abstract"
 
     def __init__(

@@ -21,12 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.control.base import BaseController
-from repro.engine.registry import register_controller
 
 __all__ = ["MpcController"]
 
 
-@register_controller("mpc")
 class MpcController(BaseController):
     """Horizon-minimax predictive control via the fitted estimator."""
 

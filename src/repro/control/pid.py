@@ -27,12 +27,10 @@ point of the comparison), so refit cost is zero.
 from __future__ import annotations
 
 from repro.control.base import BaseController
-from repro.engine.registry import register_controller
 
 __all__ = ["PidController"]
 
 
-@register_controller("pid")
 class PidController(BaseController):
     """Model-free PID regulation of the augmentation degree."""
 

@@ -1,22 +1,18 @@
-"""The paper's controller, as registry entry ``"tango"``.
+"""The paper's controller, ``CONTROLLERS["tango"]``.
 
 The control law is exactly the base loop's default — the DFT (or
 ablation) estimator's one-step prediction with periodic refits — so
-this class adds nothing but the name.  Runs through
-``CONTROLLERS.get("tango")`` are bit-identical to the pre-registry
-``TangoController``, pinned by the recorded engine and fig07
-fingerprints.
+this class adds nothing but the name.  The recorded engine and fig07
+fingerprints pin its runs.
 """
 
 from __future__ import annotations
 
 from repro.control.base import BaseController
-from repro.engine.registry import register_controller
 
 __all__ = ["TangoController"]
 
 
-@register_controller("tango")
 class TangoController(BaseController):
     """Tango's adaptation loop (Section III): estimator prediction → plan.
 

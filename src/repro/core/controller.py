@@ -11,35 +11,28 @@ Policy              application layer    storage layer
 ``cross-layer``     dynamic (abplot)     full weight function
 ==================  ===================  =====================
 
-The controller that closes the loop lives in :mod:`repro.control` (the
-``CONTROLLERS`` registry: "tango", "pid", "mpc"); ``TangoController``
-and ``AdaptationDecision`` are re-exported here so the long-standing
-``repro.core.controller`` import paths keep working.
+``POLICIES`` maps each name to its class in that order.  The controller
+that closes the loop lives in :mod:`repro.control` (``CONTROLLERS``:
+"tango", "pid", "mpc").
 """
 
 from __future__ import annotations
 
-import importlib
-
 from repro.core.error_control import AccuracyLadder
 from repro.core.recompose import PlanTable
 from repro.core.weights import WeightFunction, calibrate_weight_function
-from repro.engine.registry import POLICIES, register_policy
+from repro.util.validation import lookup
 
 __all__ = [
-    "AdaptationDecision",
     "Policy",
     "NoAdaptivityPolicy",
     "StorageOnlyPolicy",
     "AppOnlyPolicy",
     "CrossLayerPolicy",
-    "BaseController",
-    "TangoController",
     "make_policy",
+    "POLICIES",
     "POLICY_NAMES",
 ]
-
-POLICY_NAMES = ("no-adaptivity", "storage-only", "app-only", "cross-layer")
 
 
 class Policy:
@@ -108,7 +101,6 @@ class Policy:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-@register_policy("no-adaptivity")
 class NoAdaptivityPolicy(Policy):
     """Baseline: full augmentation, static default weight."""
 
@@ -117,7 +109,6 @@ class NoAdaptivityPolicy(Policy):
     storage_adaptive = False
 
 
-@register_policy("storage-only")
 class StorageOnlyPolicy(Policy):
     """Single-layer storage adaptivity: full augmentation, weight from size.
 
@@ -144,7 +135,6 @@ class StorageOnlyPolicy(Policy):
         return calibrate_weight_function(ladder, use_priority=False, use_accuracy=False)
 
 
-@register_policy("app-only")
 class AppOnlyPolicy(Policy):
     """Single-layer application adaptivity: dynamic augmentation, weight 100."""
 
@@ -153,7 +143,6 @@ class AppOnlyPolicy(Policy):
     storage_adaptive = False
 
 
-@register_policy("cross-layer")
 class CrossLayerPolicy(Policy):
     """Tango: dynamic augmentation + full weight-function coordination."""
 
@@ -162,35 +151,20 @@ class CrossLayerPolicy(Policy):
     storage_adaptive = True
 
 
+#: The four policies in the paper's order (Table II, Fig. 8's columns).
+POLICIES = {
+    cls.name: cls
+    for cls in (NoAdaptivityPolicy, StorageOnlyPolicy, AppOnlyPolicy, CrossLayerPolicy)
+}
+POLICY_NAMES = tuple(POLICIES)
+
+
 def make_policy(
     name: str,
     weight_fn: WeightFunction | None = None,
     *,
     weight_cardinality: str = "bucket",
 ) -> Policy:
-    """Instantiate a policy from the :data:`~repro.engine.registry.POLICIES`
-    registry (keyed by the names used across the experiments)."""
-    cls = POLICIES.get(name)
+    """Instantiate a policy from :data:`POLICIES` by name."""
+    cls = lookup("policy", POLICIES, name)
     return cls(weight_fn, weight_cardinality=weight_cardinality)
-
-
-# -- moved-name re-exports -------------------------------------------------
-#
-# The controller family now lives in ``repro.control``; these names are
-# resolved lazily (PEP 562) so importing ``repro.control`` first — e.g.
-# through the CONTROLLERS registry — never re-enters this module while
-# ``repro.control.base`` is still initializing.
-
-_MOVED = {
-    "AdaptationDecision": "repro.control.base",
-    "BaseController": "repro.control.base",
-    "_HistoryEntry": "repro.control.base",
-    "TangoController": "repro.control.tango",
-}
-
-
-def __getattr__(name: str):
-    module = _MOVED.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(module), name)

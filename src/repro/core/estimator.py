@@ -20,11 +20,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.engine.registry import register_estimator
 from repro.obs import OBS
 from repro.util.validation import check_probability
 
-__all__ = ["DFTEstimator", "MeanEstimator", "LastValueEstimator", "BandwidthEstimator"]
+__all__ = [
+    "DFTEstimator",
+    "MeanEstimator",
+    "LastValueEstimator",
+    "BandwidthEstimator",
+    "ESTIMATORS",
+]
 
 
 class BandwidthEstimator:
@@ -225,22 +230,6 @@ class LastValueEstimator(BandwidthEstimator):
         return np.full(np.shape(steps), self._last, dtype=np.float64)
 
 
-# -- registry entries ---------------------------------------------------
-#
-# Factories take the scenario config (the built-ins read nothing from it;
-# the DFT threshold is the paper's 50 %) and return a fresh, unfitted
-# instance — estimators are stateful, so instances are never shared.
-
-@register_estimator("dft")
-def _make_dft(config) -> DFTEstimator:
-    return DFTEstimator()
-
-
-@register_estimator("mean")
-def _make_mean(config) -> MeanEstimator:
-    return MeanEstimator()
-
-
-@register_estimator("last")
-def _make_last(config) -> LastValueEstimator:
-    return LastValueEstimator()
+#: Bandwidth estimators by the names scenario configs use.  Estimators
+#: are stateful, so each controller gets a fresh ``ESTIMATORS[name]()``.
+ESTIMATORS = {"dft": DFTEstimator, "mean": MeanEstimator, "last": LastValueEstimator}

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.validation import lookup
+
 __all__ = ["Transform", "LinearTransform", "AverageTransform", "get_transform", "TRANSFORMS"]
 
 
@@ -145,10 +147,5 @@ TRANSFORMS: dict[str, Transform] = {
 
 
 def get_transform(name: str) -> Transform:
-    """Look up a registered transform by name."""
-    try:
-        return TRANSFORMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown transform {name!r}; expected one of {sorted(TRANSFORMS)}"
-        ) from None
+    """Look up a transform in :data:`TRANSFORMS` by name."""
+    return lookup("transform", TRANSFORMS, name)

@@ -1,49 +1,24 @@
-"""The scenario engine: registries, sessions, sweeps, and the ladder memo.
+"""The scenario engine: sessions, sweeps, and the ladder memo.
 
 ``repro.engine`` is the composition layer between the substrate
 (simkernel/storage/containers/core) and the experiments:
 
-* :mod:`repro.engine.registry` — string-keyed component registries with
-  a ``@register_*`` decorator API (estimators, policies, controllers,
-  placements, apps, fault campaigns);
 * :mod:`repro.engine.session` — :class:`ScenarioSession`, the builder
   that composes one simulated node from a config and owns the run loop;
 * :mod:`repro.engine.sweep` — :class:`SweepExecutor`, process-pool
   fan-out over config grids with a bit-identical serial fallback;
 * :mod:`repro.engine.memo` — the decomposition/ladder memo cache.
 
-This package ``__init__`` stays import-light (registries only): built-in
-components import :mod:`repro.engine.registry` to self-register, so
-anything heavier here would be circular.  The session/sweep classes are
-re-exported lazily.
+The components a config names by string live in plain dicts beside
+their built-ins (``APPS``, ``POLICIES``, ``ESTIMATORS``, ``CONTROLLERS``,
+``PLACEMENTS``, ``FAULT_CAMPAIGNS``, ``ARBITRATION``; all re-exported
+by :mod:`repro.api`).  This package ``__init__`` imports nothing: spawned
+shard workers import :mod:`repro.engine.sweep` through
+:mod:`repro.cluster.pool`, so the session/sweep classes are re-exported
+lazily.
 """
 
-from repro.engine.registry import (
-    APPS,
-    ESTIMATORS,
-    FAULT_CAMPAIGNS,
-    PLACEMENTS,
-    POLICIES,
-    Registry,
-    register_app,
-    register_estimator,
-    register_fault_campaign,
-    register_placement,
-    register_policy,
-)
-
 __all__ = [
-    "Registry",
-    "ESTIMATORS",
-    "POLICIES",
-    "PLACEMENTS",
-    "APPS",
-    "FAULT_CAMPAIGNS",
-    "register_estimator",
-    "register_policy",
-    "register_placement",
-    "register_app",
-    "register_fault_campaign",
     "ScenarioSession",
     "SweepExecutor",
     "ScenarioSummary",

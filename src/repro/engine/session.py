@@ -15,25 +15,26 @@ legacy event sequencing and stay bit-identical per seed):
     driver = session.add_analytics("analytics", dataset, controller)
     session.run()
 
-Components are resolved through the :mod:`repro.engine.registry`
-registries, so a config naming a registered estimator, policy,
-controller, placement, or app just works — including ones registered by
-downstream code the engine has never heard of.
+Components a config names by string resolve through the dicts beside
+their built-ins: ``APPS``, ``POLICIES``, ``ESTIMATORS``, ``CONTROLLERS``,
+``FAULT_CAMPAIGNS`` and, for staging, ``PLACEMENTS``.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from repro.apps import make_app
 from repro.containers import Container, ContainerRuntime
-from repro.control import BaseController, ControllerConfig
+from repro.control import CONTROLLERS, BaseController, ControllerConfig
 from repro.core.abplot import AugmentationBandwidthPlot
+from repro.core.controller import POLICIES
+from repro.core.estimator import ESTIMATORS
 from repro.dataplane.pipeline import DataPlane
 from repro.core.error_control import AccuracyLadder
-from repro.core.weights import WeightFunction, calibrate_weight_function
+from repro.core.weights import calibrate_weight_function
 from repro.engine import memo
-from repro.engine.registry import APPS, CONTROLLERS, ESTIMATORS, FAULT_CAMPAIGNS, POLICIES
-from repro.faults.campaign import FaultCampaign, FaultInjector
+from repro.faults.campaign import FAULT_CAMPAIGNS, FaultCampaign, FaultInjector
 from repro.faults.degradation import DegradationPolicy
 from repro.obs import OBS
 from repro.simkernel import Simulation
@@ -45,6 +46,7 @@ from repro.storage.staging import (
 )
 from repro.storage.tier import TieredStorage
 from repro.util.rng import make_rng
+from repro.util.validation import lookup
 from repro.workloads.analytics import AnalyticsDriver
 from repro.workloads.churn import ChurnSpec, launch_churn
 from repro.workloads.noise import launch_noise
@@ -62,20 +64,8 @@ class _Auto:
 AUTO = _Auto()
 
 
-def make_weight_function(
-    ladder: AccuracyLadder,
-    *,
-    use_priority: bool = True,
-    use_accuracy: bool = True,
-    priority_range: tuple[float, float] = (1.0, 10.0),
-) -> WeightFunction:
-    """Calibrate the weight function from what this ladder can produce."""
-    return calibrate_weight_function(
-        ladder,
-        use_priority=use_priority,
-        use_accuracy=use_accuracy,
-        priority_range=priority_range,
-    )
+#: Calibrate the weight function from what a ladder can produce.
+make_weight_function = calibrate_weight_function
 
 
 class ScenarioSession:
@@ -84,8 +74,8 @@ class ScenarioSession:
     ``config`` is a :class:`repro.experiments.config.ScenarioConfig`.
     The node is the paper's two-tier testbed unless
     ``storage_factory(sim) -> TieredStorage`` builds another hierarchy
-    (capacity-pressure experiments do); ``placement`` names the
-    registered staging strategy :meth:`stage` and :meth:`stage_series`
+    (capacity-pressure experiments do); ``placement`` names the staging
+    strategy in ``PLACEMENTS`` that :meth:`stage` and :meth:`stage_series`
     use.  Everything else comes from the config; the only per-call
     overrides are the per-tenant axes of multi-tenant nodes
     (``build_ladder``'s ``app`` and ``seed``, ``build_controller``'s
@@ -147,7 +137,7 @@ class ScenarioSession:
         comes from :func:`repro.engine.memo.ladder_for_app`.
         """
         cfg = self.config
-        app_obj = APPS.create(cfg.app if app is None else app)
+        app_obj = make_app(cfg.app if app is None else app)
         data, ladder = memo.ladder_for_app(
             app_obj,
             grid_shape=cfg.grid_shape,
@@ -185,7 +175,7 @@ class ScenarioSession:
         """Arm a fault campaign against the capacity-tier device.
 
         ``faults`` is a campaign name from
-        :data:`~repro.engine.registry.FAULT_CAMPAIGNS` (the factory gets
+        :data:`~repro.faults.campaign.FAULT_CAMPAIGNS` (the factory gets
         this session's config, so event times scale to the horizon) or an
         explicit :class:`~repro.faults.campaign.FaultCampaign`.  The
         injector's RNG is seeded from ``config.seed + 3`` (alongside the
@@ -199,7 +189,7 @@ class ScenarioSession:
         cfg = self.config
         campaign = faults
         if isinstance(faults, str):
-            campaign = FAULT_CAMPAIGNS.create(faults, cfg)
+            campaign = lookup("fault campaign", FAULT_CAMPAIGNS, faults)(cfg)
         rng = make_rng(cfg.seed + 3)
         self.fault_injector = FaultInjector(
             self.sim, self.storage.slowest.device, campaign, rng=rng
@@ -238,13 +228,12 @@ class ScenarioSession:
     ) -> BaseController:
         """Build one tenant's adaptation loop from the config.
 
-        The controller class is the config's ``controller`` entry in the
-        :data:`~repro.engine.registry.CONTROLLERS` registry ("tango",
-        "pid", "mpc", or anything plugged in).  Its policy's own
-        ``build_weight_function`` gives the weight function (the config's
-        ``weight_use_*`` flags are the Fig. 13 ablation switches), the
-        estimator is created fresh from the
-        :data:`~repro.engine.registry.ESTIMATORS` registry, and the
+        The controller class is the config's ``controller`` entry in
+        :data:`~repro.control.CONTROLLERS` ("tango", "pid" or "mpc").  Its
+        policy's own ``build_weight_function`` gives the weight function
+        (the config's ``weight_use_*`` flags are the Fig. 13 ablation
+        switches), the estimator is a fresh instance of the config's
+        :data:`~repro.core.estimator.ESTIMATORS` entry, and the
         controller degrades gracefully (bad feed samples walk the
         fallback ladder instead of raising).
 
@@ -253,7 +242,7 @@ class ScenarioSession:
         mandates nothing beyond the base error (Fig. 8's configuration).
         """
         cfg = self.config
-        policy_cls = POLICIES.get(cfg.policy if policy is None else policy)
+        policy_cls = lookup("policy", POLICIES, cfg.policy if policy is None else policy)
         weight_fn = policy_cls.build_weight_function(
             ladder,
             use_priority=cfg.weight_use_priority,
@@ -263,7 +252,7 @@ class ScenarioSession:
             prescribed_bound = (
                 cfg.prescribed_bound if cfg.error_control else ladder.base_error
             )
-        return CONTROLLERS.get(cfg.controller)(
+        return lookup("controller", CONTROLLERS, cfg.controller)(
             ladder,
             policy_cls(weight_fn, weight_cardinality=cfg.weight_cardinality),
             self.abplot,
@@ -272,7 +261,7 @@ class ScenarioSession:
                 priority=cfg.priority if priority is None else priority,
                 estimation_interval=cfg.estimation_interval,
             ),
-            estimator=ESTIMATORS.create(cfg.estimator, cfg),
+            estimator=lookup("estimator", ESTIMATORS, cfg.estimator)(),
             degradation=DegradationPolicy(),
         )
 

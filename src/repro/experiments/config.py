@@ -17,9 +17,14 @@ from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import ClassVar
 
+from repro.control import CONTROLLERS
+from repro.core.controller import POLICIES
 from repro.core.error_control import ErrorMetric
+from repro.core.estimator import ESTIMATORS
+from repro.faults.campaign import FAULT_CAMPAIGNS
 from repro.faults.retry import RetryPolicy
 from repro.util.units import mb_per_s
+from repro.util.validation import lookup
 from repro.workloads.noise import TABLE_IV_NOISE, NoiseSpec
 
 __all__ = ["ScenarioConfig", "DEFAULTS", "PRIORITY_LOW", "PRIORITY_MEDIUM", "PRIORITY_HIGH"]
@@ -82,8 +87,8 @@ class ScenarioConfig:
     #: own ("bucket") or the step's total ("total", the paper's Fig. 15
     #: reading where only the accuracy term varies within a step).
     weight_cardinality: str = "bucket"
-    #: Fault campaign name from the FAULT_CAMPAIGNS registry (e.g.
-    #: "chaos"), or None for the happy path.
+    #: Fault campaign name from ``FAULT_CAMPAIGNS`` (e.g. "chaos"), or
+    #: None for the happy path.
     faults: str | None = None
     #: Retry/backoff policy for the analytics reader; None means the
     #: legacy one-retry-then-skip default.
@@ -96,8 +101,8 @@ class ScenarioConfig:
     #: mechanism, bit-identical); an integer turns on priority admission
     #: control with that many requests in flight per device.
     max_inflight: int | None = None
-    #: Adaptation controller from the CONTROLLERS registry: "tango" (the
-    #: paper's estimator loop), "pid", "mpc", or anything plugged in.
+    #: Adaptation controller from ``CONTROLLERS``: "tango" (the paper's
+    #: estimator loop), "pid" or "mpc".
     controller: str = "tango"
     seed: int = 0
 
@@ -106,16 +111,7 @@ class ScenarioConfig:
         return replace(self, **changes)
 
     def __post_init__(self) -> None:
-        # Component names are validated against the engine registries, so
-        # a config can name anything registered — built-in or plugged in.
-        # Imported lazily: the registry package imports component modules
-        # that themselves import this config module.
-        from repro.engine.registry import CONTROLLERS, ESTIMATORS, FAULT_CAMPAIGNS, POLICIES
-
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"unknown policy {self.policy!r}; expected one of {POLICIES.names()}"
-            )
+        lookup("policy", POLICIES, self.policy)
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
         if self.period <= 0:
@@ -129,26 +125,15 @@ class ScenarioConfig:
             raise ValueError("error_bounds must be non-empty")
         if self.prescribed_bound is None and self.error_control:
             raise ValueError("error_control=True requires a prescribed_bound")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(
-                f"unknown estimator {self.estimator!r}; "
-                f"expected one of {ESTIMATORS.names()}"
-            )
+        lookup("estimator", ESTIMATORS, self.estimator)
         if self.weight_cardinality not in ("bucket", "total"):
             raise ValueError(
                 f"weight_cardinality must be 'bucket' or 'total', "
                 f"got {self.weight_cardinality!r}"
             )
-        if self.faults is not None and self.faults not in FAULT_CAMPAIGNS:
-            raise ValueError(
-                f"unknown fault campaign {self.faults!r}; "
-                f"expected one of {FAULT_CAMPAIGNS.names()}"
-            )
-        if self.controller not in CONTROLLERS:
-            raise ValueError(
-                f"unknown controller {self.controller!r}; "
-                f"expected one of {CONTROLLERS.names()}"
-            )
+        if self.faults is not None:
+            lookup("fault campaign", FAULT_CAMPAIGNS, self.faults)
+        lookup("controller", CONTROLLERS, self.controller)
         # Imported lazily: the dataplane package pulls in storage modules
         # that are heavyweight relative to a config-only import.
         from repro.dataplane.policy import QosPolicy

@@ -155,7 +155,7 @@ def run_scenario(
 
     ``storage_factory(sim) -> TieredStorage`` replaces the two-tier
     testbed (used by capacity-pressure experiments); ``placement`` names
-    a registered staging strategy.
+    a staging strategy in :data:`~repro.storage.staging.PLACEMENTS`.
     """
     session = ScenarioSession(
         config, storage_factory=storage_factory, placement=placement

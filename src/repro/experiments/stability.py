@@ -3,9 +3,9 @@
 Classic control-theoretic probes expressed as fault campaigns on the
 capacity tier's speed factor — a step, a ramp, and a square-wave
 oscillation (``stability-step`` / ``stability-ramp`` / ``stability-osc``
-in the FAULT_CAMPAIGNS registry).  Every controller in the CONTROLLERS
-registry (or any subset) runs the same scenario under each input, and
-its *prediction trace* is scored like a step response:
+in ``FAULT_CAMPAIGNS``).  Every controller in ``CONTROLLERS`` (or any
+subset) runs the same scenario under each input, and its *prediction
+trace* is scored like a step response:
 
 * **settling time** — seconds after the disturbance onset until the
   prediction stays within a ±5 % band of its final value;

@@ -6,8 +6,8 @@ cross-layer control loop can be exercised off the happy path:
 
 * :mod:`repro.faults.campaign` — deterministic, seeded fault campaigns
   (media-error bursts, speed degradation, stalls, estimator-feed
-  corruption) scheduled on the sim clock and registered in
-  :data:`repro.engine.registry.FAULT_CAMPAIGNS`;
+  corruption) scheduled on the sim clock, and the named built-ins in
+  :data:`repro.faults.campaign.FAULT_CAMPAIGNS`;
 * :mod:`repro.faults.retry` — declarative :class:`RetryPolicy`
   (attempts, sim-time backoff with seeded jitter, per-object timeout)
   driving the analytics reader's skip-and-record fallback;

@@ -13,10 +13,10 @@ event plan (any jitter is drawn eagerly from the seeded campaign RNG, so
 the plan itself is a deterministic function of ``(campaign, seed)`` and
 can be fingerprinted by tests) and schedules it on the sim clock.
 
-Campaigns are registered in
-:data:`repro.engine.registry.FAULT_CAMPAIGNS`, so a scenario or sweep
-can name one by string (``ScenarioConfig(faults="chaos")``); factories
-receive the scenario config and scale the event times to its horizon.
+:data:`FAULT_CAMPAIGNS` names the built-in campaigns, so a scenario or
+sweep can name one by string (``ScenarioConfig(faults="chaos")``); each
+factory receives the scenario config and scales the event times to its
+horizon.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from repro.engine.registry import register_fault_campaign
 from repro.obs import OBS
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative, check_positive
@@ -46,6 +45,7 @@ __all__ = [
     "FaultCampaign",
     "ScheduledFault",
     "FaultInjector",
+    "FAULT_CAMPAIGNS",
 ]
 
 #: Feed-corruption modes: ``drop`` feeds NaN (a missing sample), ``zero``
@@ -321,19 +321,16 @@ class FaultInjector:
 
 # -- built-in campaigns ---------------------------------------------------
 #
-# Factories take the scenario config (duck-typed: ``period``,
-# ``max_steps``, and the abplot bandwidths are read with defaults) and
-# scale their event times to the run's horizon, so the same name works
-# for a 20-step smoke run and a 120-step campaign.
+# Factories take the scenario config and scale their event times to the
+# run's horizon, so the same name works for a 20-step smoke run and a
+# 120-step campaign.
 
 
 def _horizon(config) -> tuple[float, float]:
-    period = float(getattr(config, "period", 60.0))
-    steps = int(getattr(config, "max_steps", 60))
-    return period, period * steps
+    period = float(config.period)
+    return period, period * int(config.max_steps)
 
 
-@register_fault_campaign("error-bursts")
 def _error_bursts(config) -> FaultCampaign:
     """Transient media-error bursts only — exercises retry/skip paths."""
     _, horizon = _horizon(config)
@@ -348,7 +345,6 @@ def _error_bursts(config) -> FaultCampaign:
     )
 
 
-@register_fault_campaign("degrade-ramp")
 def _degrade_ramp(config) -> FaultCampaign:
     """Mid-run device aging: ramp to 40 % speed, partial recovery."""
     _, horizon = _horizon(config)
@@ -368,7 +364,6 @@ def _degrade_ramp(config) -> FaultCampaign:
     )
 
 
-@register_fault_campaign("feed-blackout")
 def _feed_blackout(config) -> FaultCampaign:
     """Estimator-feed blackout: every sample dropped for ~12 periods."""
     period, horizon = _horizon(config)
@@ -381,7 +376,6 @@ def _feed_blackout(config) -> FaultCampaign:
     )
 
 
-@register_fault_campaign("stability-step")
 def _stability_step(config) -> FaultCampaign:
     """Step reference input for the controller stability suite.
 
@@ -398,7 +392,6 @@ def _stability_step(config) -> FaultCampaign:
     )
 
 
-@register_fault_campaign("stability-ramp")
 def _stability_ramp(config) -> FaultCampaign:
     """Ramp reference input: gradual degradation, no recovery."""
     _, horizon = _horizon(config)
@@ -417,7 +410,6 @@ def _stability_ramp(config) -> FaultCampaign:
     )
 
 
-@register_fault_campaign("stability-osc")
 def _stability_osc(config) -> FaultCampaign:
     """Oscillation reference input: a square wave in device speed.
 
@@ -440,7 +432,6 @@ def _stability_osc(config) -> FaultCampaign:
     )
 
 
-@register_fault_campaign("chaos")
 def _chaos(config) -> FaultCampaign:
     """Everything at once: bursts + degradation + stall + feed corruption.
 
@@ -477,3 +468,15 @@ def _chaos(config) -> FaultCampaign:
             ),
         ),
     )
+
+
+#: Fault campaigns: ``factory(config) -> FaultCampaign``.
+FAULT_CAMPAIGNS = {
+    "error-bursts": _error_bursts,
+    "degrade-ramp": _degrade_ramp,
+    "feed-blackout": _feed_blackout,
+    "stability-step": _stability_step,
+    "stability-ramp": _stability_ramp,
+    "stability-osc": _stability_osc,
+    "chaos": _chaos,
+}

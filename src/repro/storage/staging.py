@@ -12,12 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.error_control import AccuracyLadder
-from repro.engine.registry import PLACEMENTS, register_placement
 from repro.simkernel import Event
 from repro.storage.cgroup import BlkioCgroup
 from repro.storage.tier import StorageTier, TieredStorage
+from repro.util.validation import lookup
 
-__all__ = ["StagedDataset", "stage_dataset", "TimeSeriesDataset", "stage_timeseries"]
+__all__ = [
+    "PLACEMENTS",
+    "StagedDataset",
+    "stage_dataset",
+    "TimeSeriesDataset",
+    "stage_timeseries",
+]
 
 
 @dataclass
@@ -177,7 +183,6 @@ def stage_timeseries(
     )
 
 
-@register_placement("level")
 def _place_by_level(
     ladder: AccuracyLadder, storage: TieredStorage, scale: float
 ) -> tuple[StorageTier, tuple[StorageTier, ...]]:
@@ -190,7 +195,6 @@ def _place_by_level(
     return base_tier, bucket_tiers
 
 
-@register_placement("capacity")
 def _place_by_capacity(
     ladder: AccuracyLadder, storage: TieredStorage, scale: float
 ) -> tuple[StorageTier, tuple[StorageTier, ...]]:
@@ -209,6 +213,11 @@ def _place_by_capacity(
     base_tier = fastest_first[plan.base_tier]
     bucket_tiers = tuple(fastest_first[t] for t in plan.bucket_tiers)
     return base_tier, bucket_tiers
+
+
+#: Staging placement strategies:
+#: ``strategy(ladder, storage, scale) -> (base_tier, bucket_tiers)``.
+PLACEMENTS = {"level": _place_by_level, "capacity": _place_by_capacity}
 
 
 def stage_dataset(
@@ -234,18 +243,15 @@ def stage_dataset(
     :func:`repro.core.serialize.unpack_partial` payload — see
     :meth:`StagedDataset.assemble_payload`.
 
-    ``placement`` names a strategy from the
-    :data:`~repro.engine.registry.PLACEMENTS` registry — built-ins are
-    ``"level"`` (the paper's mapping) and ``"capacity"`` (for when the
-    performance tiers cannot hold their level-mapped share); experiments
-    can register their own with
-    :func:`~repro.engine.registry.register_placement`.
+    ``placement`` names a strategy from :data:`PLACEMENTS`: ``"level"``
+    (the paper's mapping) or ``"capacity"`` (for when the performance
+    tiers cannot hold their level-mapped share).
     """
     if size_scale <= 0:
         raise ValueError(f"size_scale must be > 0, got {size_scale}")
 
     scale = float(size_scale)
-    base_tier, bucket_tiers = PLACEMENTS.create(placement, ladder, storage, scale)
+    base_tier, bucket_tiers = lookup("placement", PLACEMENTS, placement)(ladder, storage, scale)
 
     ds = StagedDataset(
         name=name,

@@ -9,8 +9,10 @@ ship on a shimmed path).
 from __future__ import annotations
 
 import math
+from typing import Any, Mapping
 
 __all__ = [
+    "lookup",
     "check_positive",
     "check_non_negative",
     "check_in_range",
@@ -26,6 +28,14 @@ class ReproDeprecationWarning(DeprecationWarning):
     into errors (``filterwarnings`` in ``pyproject.toml``) without
     tripping on third-party DeprecationWarnings.
     """
+
+
+def lookup(kind: str, table: Mapping[str, Any], name: str) -> Any:
+    """``table[name]``, or a ValueError naming the ``kind`` and the options."""
+    try:
+        return table[name]
+    except KeyError:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {sorted(table)}") from None
 
 
 def check_positive(name: str, value: float) -> float:

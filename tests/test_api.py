@@ -25,6 +25,7 @@ class TestFacade:
         assert api.run_scenario is run_scenario
         assert api.ScenarioSession is ScenarioSession
         assert api.make_weight_function is make_weight_function
+        assert api.make_weight_function is api.calibrate_weight_function
         assert api.FaultCampaign is FaultCampaign
         assert api.RetryPolicy is RetryPolicy
 
@@ -32,8 +33,7 @@ class TestFacade:
         import repro.api as api
 
         for name in ("FaultCampaign", "FaultInjector", "RetryPolicy",
-                     "DegradationPolicy", "FAULT_CAMPAIGNS",
-                     "register_fault_campaign", "run_resilience"):
+                     "DegradationPolicy", "FAULT_CAMPAIGNS", "run_resilience"):
             assert name in api.__all__
 
     def test_no_dead_all_entries(self):
@@ -103,17 +103,23 @@ class TestRunnerModuleShim:
             runner.does_not_exist
 
 
+#: Controller names that ``repro.core`` and ``repro.core.controller`` used
+#: to re-export from ``repro.control``.
+_MOVED_CONTROL_NAMES = ("AdaptationDecision", "BaseController", "TangoController")
+
+
 def _removed_spellings():
     """Each removed spelling (a shim whose one-release deprecation window
     has passed, or a retired option), as (call, exception it now raises)."""
     import importlib
 
     import repro.api
+    import repro.cluster
     import repro.control.config
     import repro.core
+    import repro.core.controller
     import repro.dataplane
     import repro.engine
-    import repro.engine.registry
     import repro.simkernel
     import repro.experiments.runner as runner
     import repro.storage
@@ -222,10 +228,7 @@ def _removed_spellings():
         ),
         "dataplane_set_policy": (lambda: DataPlane.set_policy, AttributeError),
         **{
-            f"{where}_{name}": (
-                lambda module=module, name=name: getattr(module, name), AttributeError
-            )
-            for where, module in (("api", repro.api), ("registry", repro.engine.registry))
+            f"api_{name}": (lambda name=name: getattr(repro.api, name), AttributeError)
             for name in (
                 "CLASSIFY_STAGES",
                 "ENFORCE_STAGES",
@@ -306,11 +309,7 @@ def _removed_spellings():
             f"{where}_{name}": (
                 lambda module=module, name=name: getattr(module, name), AttributeError
             )
-            for where, module in (
-                ("api", repro.api),
-                ("engine", repro.engine),
-                ("registry", repro.engine.registry),
-            )
+            for where, module in (("api", repro.api), ("engine", repro.engine))
             for name in ("STORAGE_PRESETS", "register_storage_preset")
         },
         "tiered_storage_three_tier_testbed": (
@@ -330,7 +329,69 @@ def _removed_spellings():
                 "repro.storage.pagecache",
                 "repro.workloads.patterns",
                 "repro.workloads.replay",
+                "repro.engine.registry",
             )
+        },
+        # The names the deleted repro.engine.registry used to hold: reaching
+        # any of them now fails at the import.
+        **{
+            f"registry_{name}": (
+                lambda name=name: getattr(
+                    importlib.import_module("repro.engine.registry"), name
+                ),
+                ModuleNotFoundError,
+            )
+            for name in (
+                "CLASSIFY_STAGES",
+                "ENFORCE_STAGES",
+                "SCHEDULE_STAGES",
+                "STORAGE_PRESETS",
+                "register_classify_stage",
+                "register_enforce_stage",
+                "register_schedule_stage",
+                "register_storage_preset",
+            )
+        },
+        **{
+            f"{where}_{name}": (
+                lambda module=module, name=name: getattr(module, name), AttributeError
+            )
+            for where, module, names in (
+                (
+                    "api",
+                    repro.api,
+                    (
+                        "register_app",
+                        "register_arbitration",
+                        "register_controller",
+                        "register_estimator",
+                        "register_fault_campaign",
+                        "register_placement",
+                        "register_policy",
+                    ),
+                ),
+                ("cluster", repro.cluster, ("register_arbitration",)),
+                (
+                    "engine",
+                    repro.engine,
+                    (
+                        "Registry",
+                        "APPS",
+                        "ESTIMATORS",
+                        "FAULT_CAMPAIGNS",
+                        "PLACEMENTS",
+                        "POLICIES",
+                        "register_app",
+                        "register_estimator",
+                        "register_fault_campaign",
+                        "register_placement",
+                        "register_policy",
+                    ),
+                ),
+                ("core", repro.core, _MOVED_CONTROL_NAMES),
+                ("core_controller", repro.core.controller, _MOVED_CONTROL_NAMES),
+            )
+            for name in names
         },
     }
 
@@ -408,7 +469,7 @@ class TestControllerConstructionShim:
     def test_controller_surface_on_facade(self):
         import repro.api as api
 
-        for name in ("CONTROLLERS", "register_controller", "ControllerConfig",
+        for name in ("CONTROLLERS", "ControllerConfig",
                      "BaseController", "PidController", "MpcController",
                      "TangoController", "StabilityResult", "run_stability"):
             assert name in api.__all__

@@ -23,7 +23,6 @@ from repro.cluster import (
     ArbitrationPolicy,
     jain_index,
     make_shard_pool,
-    register_arbitration,
     route,
     run_cluster,
 )
@@ -146,20 +145,18 @@ class TestArbitrationRegistry:
     def test_builtins_registered(self):
         assert "centralized" in ARBITRATION
         assert "adaptbf" in ARBITRATION
-        assert ARBITRATION.get("adaptbf") is AdaptiveTokenBorrowing
+        assert ARBITRATION["adaptbf"] is AdaptiveTokenBorrowing
 
-    def test_pluggable_policy_runs_end_to_end(self):
-        @register_arbitration("static")
+    def test_pluggable_policy_runs_end_to_end(self, monkeypatch):
         class StaticShares(ArbitrationPolicy):
             """No coordination at all: every node keeps its fair share."""
 
-        try:
+        with monkeypatch.context() as patch:
+            patch.setitem(ARBITRATION, "static", StaticShares)
             res = run_cluster(_tiny(arbitration="static", rounds=4))
             assert res.messages_total == 0
             assert res.events_executed > 0
-        finally:
-            ARBITRATION.unregister("static")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown arbitration policy 'static'"):
             _tiny(arbitration="static")
 
     def test_ring_neighbours_alternate_sides(self):

@@ -47,7 +47,6 @@ from repro.cluster import (
     AdaptiveTokenBorrowing,
     ClusterConfig,
     make_shard_pool,
-    register_arbitration,
     run_cluster,
 )
 from repro.cluster.node import NodeState
@@ -430,16 +429,14 @@ class _HookProbe(AdaptiveTokenBorrowing):
 
 
 @pytest.fixture
-def hook_probe():
-    """Register ``hook-probe`` for one test; yields the per-node records."""
+def hook_probe(monkeypatch):
+    """Add ``hook-probe`` to ``ARBITRATION`` for one test; yields the
+    per-node records."""
     seen: dict[int, list] = {}
-    register_arbitration(
-        "hook-probe", lambda config, node_id: _HookProbe(config, node_id, seen)
+    monkeypatch.setitem(
+        ARBITRATION, "hook-probe", lambda config, node_id: _HookProbe(config, node_id, seen)
     )
-    try:
-        yield seen
-    finally:
-        ARBITRATION.unregister("hook-probe")
+    return seen
 
 
 def _seen_digest(seen: dict) -> str:

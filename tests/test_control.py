@@ -1,4 +1,4 @@
-"""Tests for repro.control — the controller family and its registry."""
+"""Tests for repro.control — the controller family and its name table."""
 
 import hashlib
 import json
@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.control import (
+    CONTROLLERS,
     ControllerConfig,
     MpcController,
     PidController,
@@ -19,10 +20,10 @@ from repro.core.abplot import AugmentationBandwidthPlot
 from repro.core.controller import AppOnlyPolicy
 from repro.core.error_control import ErrorMetric, build_ladder
 from repro.core.refactor import decompose
-from repro.engine.registry import CONTROLLERS
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.util.units import mb_per_s
+from repro.util.validation import lookup
 
 
 @lru_cache(maxsize=1)
@@ -43,25 +44,25 @@ def _make(cls, **cfg_kwargs):
     )
 
 
-# -- the registry ---------------------------------------------------------
+# -- the name table -------------------------------------------------------
 
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert {"tango", "pid", "mpc"} <= set(CONTROLLERS.names())
+        assert {"tango", "pid", "mpc"} <= set(CONTROLLERS)
 
     def test_get_returns_classes(self):
-        assert CONTROLLERS.get("tango") is TangoController
-        assert CONTROLLERS.get("pid") is PidController
-        assert CONTROLLERS.get("mpc") is MpcController
+        assert CONTROLLERS["tango"] is TangoController
+        assert CONTROLLERS["pid"] is PidController
+        assert CONTROLLERS["mpc"] is MpcController
 
     def test_unknown_name_raises_with_options(self):
         with pytest.raises(ValueError, match="tango"):
-            CONTROLLERS.get("lqr")
+            lookup("controller", CONTROLLERS, "lqr")
 
     def test_name_attribute_matches_registry_key(self):
         for name in ("tango", "pid", "mpc"):
-            assert CONTROLLERS.get(name).name == name
+            assert CONTROLLERS[name].name == name
 
 
 # -- config validation ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for repro.engine — registries, memo cache, sessions, sweeps.
+"""Tests for repro.engine — component tables, memo cache, sessions, sweeps.
 
 The fingerprint tests pin the exact numerical behaviour of the ported
 entry points (``run_scenario``, ``run_multi_scenario``, ``run_campaign``)
@@ -18,15 +18,10 @@ import weakref
 
 import pytest
 
+from repro.apps import ALL_APPS, APPS
+from repro.core.controller import POLICIES, POLICY_NAMES
+from repro.core.estimator import ESTIMATORS
 from repro.engine import memo, sweep
-from repro.engine.registry import (
-    APPS,
-    ESTIMATORS,
-    PLACEMENTS,
-    POLICIES,
-    Registry,
-    register_estimator,
-)
 from repro.engine.sweep import ScenarioSummary, SweepExecutor, resolve_workers
 from repro.experiments.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.experiments.config import ScenarioConfig
@@ -34,86 +29,43 @@ from repro.experiments.multi import TenantSpec, run_multi_scenario
 from repro.experiments.runner import ScenarioResult, run_scenario
 from repro.obs import OBS, enabled_scope
 from repro.storage.device import DEVICE_PRESETS
+from repro.storage.staging import PLACEMENTS
 from repro.storage.tier import TieredStorage
 from tests import sweep_jobs
 from tests.scalar_oracle import ScalarSimulation
 
 
 class TestRegistry:
-    def test_register_and_get(self):
-        reg = Registry("widget")
-        reg.register("a", object)
-        assert reg.get("a") is object
-        assert "a" in reg
-        assert reg.names() == ("a",)
-
-    def test_decorator_form(self):
-        reg = Registry("widget")
-
-        @reg.register("fancy")
-        def make_fancy():
-            return "fancy!"
-
-        assert reg.create("fancy") == "fancy!"
-        assert make_fancy() == "fancy!"  # decorator returns the target
-
-    def test_duplicate_name_raises(self):
-        reg = Registry("widget")
-        reg.register("a", object)
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("a", int)
-
-    def test_reregistering_same_object_is_idempotent(self):
-        reg = Registry("widget")
-        reg.register("a", object)
-        reg.register("a", object)  # same target: no error
-        assert reg.get("a") is object
-
-    def test_overwrite(self):
-        reg = Registry("widget")
-        reg.register("a", object)
-        reg.register("a", int, overwrite=True)
-        assert reg.get("a") is int
-
-    def test_unregister(self):
-        reg = Registry("widget")
-        reg.register("a", object)
-        reg.unregister("a")
-        assert "a" not in reg
-        reg.unregister("a")  # idempotent
-
     def test_unknown_name_lists_options(self):
-        reg = Registry("widget")
-        reg.register("alpha", object)
-        reg.register("beta", object)
-        with pytest.raises(ValueError, match="alpha.*beta"):
-            reg.get("nope")
-
-    def test_bad_name_rejected(self):
-        reg = Registry("widget")
-        with pytest.raises(ValueError):
-            reg.register("", object)
-        with pytest.raises(ValueError):
-            reg.register(3, object)  # type: ignore[arg-type]
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(estimator="nope")
+        assert str(err.value) == (
+            "unknown estimator 'nope'; expected one of ['dft', 'last', 'mean']"
+        )
 
     def test_builtin_registries_are_populated(self):
-        assert set(ESTIMATORS.names()) >= {"dft", "mean", "last"}
-        assert set(POLICIES.names()) >= {
+        assert set(ESTIMATORS) >= {"dft", "mean", "last"}
+        assert set(POLICIES) >= {
             "no-adaptivity",
             "app-only",
             "storage-only",
             "cross-layer",
         }
-        assert set(PLACEMENTS.names()) >= {"level", "capacity"}
-        assert set(APPS.names()) >= {"xgc", "genasis", "cfd"}
+        assert set(PLACEMENTS) >= {"level", "capacity"}
+        assert set(APPS) >= {"xgc", "genasis", "cfd"}
 
-    def test_plugged_estimator_is_valid_in_config(self):
-        register_estimator("test-constant", lambda config: None)
-        try:
+    def test_tables_iterate_the_paper_order(self):
+        """Figure grids and archive rows follow the tables' insertion order."""
+        assert POLICY_NAMES == ("no-adaptivity", "storage-only", "app-only", "cross-layer")
+        assert tuple(POLICIES) == POLICY_NAMES
+        assert ALL_APPS == ("xgc", "genasis", "cfd")
+        assert tuple(APPS) == ALL_APPS
+
+    def test_plugged_estimator_is_valid_in_config(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setitem(ESTIMATORS, "test-constant", lambda: None)
             cfg = ScenarioConfig(estimator="test-constant")
             assert cfg.estimator == "test-constant"
-        finally:
-            ESTIMATORS.unregister("test-constant")
         with pytest.raises(ValueError, match="unknown estimator"):
             ScenarioConfig(estimator="test-constant")
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.engine.registry import FAULT_CAMPAIGNS
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import run_scenario
 from repro.faults import (
@@ -22,6 +21,7 @@ from repro.faults import (
     RetryPolicy,
     SpeedRamp,
 )
+from repro.faults.campaign import FAULT_CAMPAIGNS
 from repro.simkernel import Simulation
 from repro.storage.device import DEVICE_PRESETS, BlockDevice
 from repro.util.rng import make_rng
@@ -79,15 +79,15 @@ class TestFaultInjector:
         return fp
 
     def test_plan_deterministic_per_seed(self):
-        camp = FAULT_CAMPAIGNS.create("chaos", ScenarioConfig(max_steps=20))
+        camp = FAULT_CAMPAIGNS["chaos"](ScenarioConfig(max_steps=20))
         assert self._fingerprint(camp, 7) == self._fingerprint(camp, 7)
 
     def test_seed_changes_jittered_plan(self):
-        camp = FAULT_CAMPAIGNS.create("chaos", ScenarioConfig(max_steps=20))
+        camp = FAULT_CAMPAIGNS["chaos"](ScenarioConfig(max_steps=20))
         assert self._fingerprint(camp, 7) != self._fingerprint(camp, 8)
 
     def test_plan_is_time_sorted(self):
-        camp = FAULT_CAMPAIGNS.create("chaos", ScenarioConfig(max_steps=20))
+        camp = FAULT_CAMPAIGNS["chaos"](ScenarioConfig(max_steps=20))
         sim = Simulation()
         plan = FaultInjector(sim, _device(sim), camp).build_plan()
         times = [f.time for f in plan]
@@ -124,8 +124,8 @@ class TestFaultInjector:
         assert inj.samples_corrupted == 1
 
     def test_builtin_campaigns_scale_to_config(self):
-        short = FAULT_CAMPAIGNS.create("error-bursts", ScenarioConfig(max_steps=10))
-        long = FAULT_CAMPAIGNS.create("error-bursts", ScenarioConfig(max_steps=100))
+        short = FAULT_CAMPAIGNS["error-bursts"](ScenarioConfig(max_steps=10))
+        long = FAULT_CAMPAIGNS["error-bursts"](ScenarioConfig(max_steps=100))
         assert max(e.at for e in short.device_events) < max(
             e.at for e in long.device_events
         )

@@ -19,11 +19,10 @@ from repro.control import (
     TangoController,
 )
 from repro.core.abplot import AugmentationBandwidthPlot
-from repro.core.controller import POLICY_NAMES, make_policy
+from repro.core.controller import POLICIES, POLICY_NAMES, make_policy
 from repro.core.error_control import ErrorMetric, build_ladder
 from repro.core.recompose import PlanTable
 from repro.core.refactor import decompose
-from repro.engine.registry import POLICIES
 from repro.faults.degradation import (
     CONTROLLER_MODES,
     MODE_WEIGHTS_ONLY,
@@ -63,7 +62,7 @@ def _abplot():
 
 
 def _policy(name, weight_cardinality):
-    weight_fn = POLICIES.get(name).build_weight_function(_ladder())
+    weight_fn = POLICIES[name].build_weight_function(_ladder())
     return make_policy(name, weight_fn, weight_cardinality=weight_cardinality)
 
 

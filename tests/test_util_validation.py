@@ -9,7 +9,22 @@ from repro.util.validation import (
     check_non_negative,
     check_positive,
     check_probability,
+    lookup,
 )
+
+
+class TestLookup:
+    def test_returns_the_entry(self):
+        table = {"a": int, "b": float}
+        assert lookup("widget", table, "b") is float
+
+    def test_unknown_name_names_kind_name_and_sorted_options(self):
+        table = {"gamma": 1, "alpha": 2, "beta": 3}
+        with pytest.raises(ValueError) as err:
+            lookup("widget", table, "delta")
+        assert str(err.value) == (
+            "unknown widget 'delta'; expected one of ['alpha', 'beta', 'gamma']"
+        )
 
 
 class TestCheckPositive:

@@ -7,9 +7,9 @@ of the checkout (so archive writes never touch it), with a
 ``src/repro`` code object any process calls, pool workers included.
 Prints how many functions and methods were reached and lists the rest
 per file: deletion candidates, reached only by unit tests or by paths
-the probe does not run, such as ``--metrics-out``.  Pools are capped at
-two workers (``REPRO_WORKERS=2``, as in CI).  Standard library only;
-about two minutes on two vCPUs::
+the probe does not run.  Pools are capped at two workers
+(``REPRO_WORKERS=2``, as in CI).  Standard library only; about two
+minutes on two vCPUs::
 
     python3 tools/reachability.py            # probe this checkout
     python3 tools/reachability.py ../other   # probe another checkout
@@ -40,6 +40,10 @@ threading.setprofile(_hook)
 #: CI's CLI smoke commands (.github/workflows/ci.yml) as ``repro`` argv,
 #: less its archive loop: every ``figure NAME --out`` runs anyway.
 CI_SMOKE = [cmd.split() for cmd in (
+    "scenario --steps 4 --faults chaos --json",
+    "scenario --steps 4 --faults chaos --json --trace-out sc.jsonl --metrics-out sc_metrics.json",
+    "scenario --steps 3 --sparkline --csv sc.csv --metrics-out sc_metrics.csv",
+    "tables",
     "figure fig08 --workers 2",
     "figure qosplane --fast",
     "export qosplane --fast qosplane.json",
